@@ -55,5 +55,6 @@ def labelling_count(g: Graph) -> int:
     aut = automorphism_group_size(g)
     nf = factorial(g.n)
     q, r = divmod(nf, aut)
-    assert r == 0, f"|Aut| = {aut} does not divide {g.n}! (code {g.code:#x})"
+    if r:
+        raise RuntimeError(f"|Aut| = {aut} does not divide {g.n}! (code {g.code:#x})")
     return q

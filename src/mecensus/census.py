@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .automorphisms import labelling_count
+from . import automorphisms
 from .graphs import Graph, pair_count
 from .markov import classify_skeleton, find_v_configurations
 from .orderly import generate_all
@@ -101,7 +101,7 @@ def iter_skeletons(n: int, edges: tuple[int, int] | None = None) -> Iterable[Ske
         if edges is not None and not edges[0] <= layer.edge_count <= edges[1]:
             continue
         for g in layer.graphs:
-            yield SkeletonRecord(graph=g, labellings=labelling_count(g))
+            yield SkeletonRecord(graph=g, labellings=automorphisms.labelling_count(g))
 
 
 def census_skeletons(n: int, records: Iterable[SkeletonRecord]) -> CensusReport:

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import groupby
 from math import comb
+from operator import attrgetter
 from pathlib import Path
 
 from . import catalog, oracles, reference
@@ -23,7 +25,6 @@ from .census import (
 )
 from .graphs import MAX_VERTICES, pair_count
 from .markov import classify_skeleton
-from .orderly import generate_all
 
 
 def _parse_edges(text: str, m: int) -> tuple[int, int]:
@@ -37,22 +38,11 @@ def _parse_edges(text: str, m: int) -> tuple[int, int]:
     return lo, hi
 
 
-def _layer_records(n: int, edges: tuple[int, int] | None) -> dict[int, list[SkeletonRecord]]:
-    from .automorphisms import labelling_count
-    layers = {}
-    for layer in generate_all(n):
-        if edges is not None and not edges[0] <= layer.edge_count <= edges[1]:
-            continue
-        layers[layer.edge_count] = [
-            SkeletonRecord(graph=g, labellings=labelling_count(g)) for g in layer.graphs
-        ]
-    return layers
-
-
 def cmd_generate(args) -> int:
     edges = _parse_edges(args.edges, pair_count(args.n)) if args.edges else None
     root = Path(args.graphs)
-    for e, records in _layer_records(args.n, edges).items():
+    for e, layer in groupby(iter_skeletons(args.n, edges), key=attrgetter("graph.edge_count")):
+        records = list(layer)
         path = catalog.catalog_path(root, args.n, e)
         catalog.write_catalog(path, args.n, e, records)
         print(f"wrote {path} ({len(records)} graphs)")
@@ -96,7 +86,8 @@ def cmd_census(args) -> int:
 
 def _verify_checks(n: int):
     """Yield (name, ok, detail) for every oracle applicable at this n."""
-    layers = _layer_records(n, None)
+    layers = {e: list(recs) for e, recs in
+              groupby(iter_skeletons(n), key=attrgetter("graph.edge_count"))}
     records = [rec for e in sorted(layers) for rec in layers[e]]
     report = census(n, skeletons=records)
 

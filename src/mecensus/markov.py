@@ -10,16 +10,9 @@ orientations and tallying orientations per key.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-import numpy as np
-
-from . import _kernels
 from .graphs import Graph, adjacency_masks
-from .orientations import Orientation, enumerate_acyclic_orientations
-
-# the kernel codes sites into two 64-bit words
-_KERNEL_SITE_LIMIT = 128
+from .orientations import Orientation
 
 
 def find_v_configurations(g: Graph) -> list[tuple[int, int, int]]:
@@ -43,12 +36,10 @@ def find_v_configurations(g: Graph) -> list[tuple[int, int, int]]:
 
 def class_code(o: Orientation, vconfigs: list[tuple[int, int, int]]) -> int:
     """Bit i set iff vconfigs[i] is oriented as an immorality (a->b<-c)."""
-    ranks = {e: r for r, e in enumerate(o.skeleton.edges())}
+    arcs = set(o.directed_edges())
     code = 0
     for i, (a, b, c) in enumerate(vconfigs):
-        into_b_ab = (o.direction >> ranks[(min(a, b), max(a, b))] & 1) == (a < b)
-        into_b_cb = (o.direction >> ranks[(min(b, c), max(b, c))] & 1) == (c < b)
-        if into_b_ab and into_b_cb:
+        if (a, b) in arcs and (c, b) in arcs:
             code |= 1 << i
     return code
 
@@ -61,90 +52,51 @@ class SkeletonClassTable:
     total_orientations: int
 
 
-def _kernel_inputs(g: Graph, vconfigs):
-    edges = g.edges()[::-1]  # assignment order: most significant first
-    E = len(edges)
-    eu = np.empty(E, np.int64)
-    ev = np.empty(E, np.int64)
-    for k, (i, j) in enumerate(edges):
-        eu[k] = i - 1
-        ev[k] = j - 1
-    rank = {e: k for k, e in enumerate(edges)}
-    per_edge: list[list[tuple[int, int, int, int]]] = [[] for _ in range(E)]
-    for vi, (a, b, c) in enumerate(vconfigs):
-        k1 = rank[(min(a, b), max(a, b))]
-        w1 = 1 if a < b else 0  # direction bit that points the edge into b
-        k2 = rank[(min(b, c), max(b, c))]
-        w2 = 1 if c < b else 0
-        if k1 < k2:  # site completes at the later-assigned edge
-            per_edge[k2].append((vi, k1, w2, w1))
-        else:
-            per_edge[k1].append((vi, k2, w1, w2))
-    V = len(vconfigs)
-    tstart = np.zeros(E + 1, np.int64)
-    tvc = np.empty(V, np.int64)
-    tother = np.empty(V, np.int64)
-    twant = np.empty(V, np.int64)
-    twant_other = np.empty(V, np.int64)
-    t = 0
-    for k in range(E):
-        tstart[k] = t
-        for vi, ko, wk, wo in per_edge[k]:
-            tvc[t] = vi
-            tother[t] = ko
-            twant[t] = wk
-            twant_other[t] = wo
-            t += 1
-    tstart[E] = t
-    return eu, ev, tstart, tvc, tother, twant, twant_other
-
-
-def classify_skeleton(g: Graph, kernel=None) -> SkeletonClassTable:
+def classify_skeleton(g: Graph) -> SkeletonClassTable:
     """Group the acyclic orientations of g by class code.
 
-    kernel overrides the backend chosen at import (see _kernels); graphs
-    with more v-configurations than the kernel can code fall back to the
-    streaming path.
+    Depth-first over edge directions, most significant edge first, trying
+    low-to-high before high-to-low; u->v is pruned when v already reaches
+    u.  reach[w] is the bitset of vertices w reaches.  An immorality site
+    is decided at the later-assigned of its two edges: sites[k] lists
+    (other edge, direction wanted here, direction wanted there, site bit),
+    with direction 1 = low to high.
     """
     vconfigs = find_v_configurations(g)
-    if len(vconfigs) > _KERNEL_SITE_LIMIT:
-        return _classify_streaming(g, vconfigs)
-    if kernel is None:
-        kernel = _kernels.enumerate_codes
-    hi, lo, cnt = kernel(g.n, *_kernel_inputs(g, vconfigs))
-    hi = hi[:cnt]
-    lo = lo[:cnt]
-    order = np.lexsort((lo, hi))
-    hi = hi[order]
-    lo = lo[order]
-    classes: dict[int, int] = {}
-    start = 0
-    for t in range(1, cnt + 1):
-        if t == cnt or hi[t] != hi[start] or lo[t] != lo[start]:
-            classes[(int(hi[start]) << 64) | int(lo[start])] = t - start
-            start = t
-    return SkeletonClassTable(classes=classes, total_orientations=cnt)
-
-
-def _classify_streaming(g: Graph, vconfigs) -> SkeletonClassTable:
-    ranks = {e: r for r, e in enumerate(g.edges())}
-    sites = []
-    for a, b, c in vconfigs:
-        sites.append((ranks[(min(a, b), max(a, b))], 1 if a < b else 0,
-                      ranks[(min(b, c), max(b, c))], 1 if c < b else 0))
+    edges = g.edges()[::-1]
+    E = len(edges)
+    rank = {e: k for k, e in enumerate(edges)}
+    sites: list[list[tuple[int, int, int, int]]] = [[] for _ in range(E)]
+    for i, (a, b, c) in enumerate(vconfigs):
+        k1, w1 = rank[(min(a, b), max(a, b))], int(a < b)  # w: direction into b
+        k2, w2 = rank[(min(b, c), max(b, c))], int(c < b)
+        if k1 < k2:
+            sites[k2].append((k1, w2, w1, 1 << i))
+        else:
+            sites[k1].append((k2, w1, w2, 1 << i))
+    dirs = [0] * E
     counts: dict[int, int] = {}
-    total = 0
-    for o in enumerate_acyclic_orientations(g):
-        d = o.direction
-        code = 0
-        for i, (r1, w1, r2, w2) in enumerate(sites):
-            if (d >> r1 & 1) == w1 and (d >> r2 & 1) == w2:
-                code |= 1 << i
-        counts[code] = counts.get(code, 0) + 1
-        total += 1
+
+    def rec(k: int, reach: list[int], code: int) -> None:
+        if k == E:
+            counts[code] = counts.get(code, 0) + 1
+            return
+        i, j = edges[k]
+        for bit, u, v in ((1, i - 1, j - 1), (0, j - 1, i - 1)):
+            mv = reach[v]
+            if mv >> u & 1:
+                continue
+            dirs[k] = bit
+            c = code
+            for other, want, want_other, flag in sites[k]:
+                if bit == want and dirs[other] == want_other:
+                    c |= flag
+            rec(k + 1, [r | mv if r >> u & 1 else r for r in reach], c)
+
+    rec(0, [1 << v for v in range(g.n)], 0)
     return SkeletonClassTable(
         classes={c: counts[c] for c in sorted(counts)},
-        total_orientations=total,
+        total_orientations=sum(counts.values()),
     )
 
 
@@ -152,6 +104,4 @@ def max_vconfig_prediction(n: int) -> int:
     """(n-2)/2 * floor(n/2) * ceil(n/2); attained on balanced complete bipartite graphs."""
     if n < 1:
         raise ValueError("need at least one vertex")
-    value = Fraction(n - 2, 2) * (n // 2) * ((n + 1) // 2)
-    assert value.denominator == 1
-    return int(value)
+    return (n - 2) * (n // 2) * ((n + 1) // 2) // 2

@@ -1,8 +1,8 @@
 """Streaming enumeration of the acyclic orientations of a skeleton.
 
-Pure-Python reference path: the census proper goes through the fused
-kernel in _kernels, while this generator serves the public streaming API,
-wide graphs the kernel cannot code, and differential tests against it.
+The public streaming API and the independent reference for tests: the
+census proper tallies class codes with markov.classify_skeleton, which
+walks the same search tree without building Orientation objects.
 """
 
 from __future__ import annotations

@@ -1,6 +1,9 @@
 import itertools
 from math import comb, factorial
 
+import pytest
+
+from mecensus import automorphisms
 from mecensus.automorphisms import automorphism_group_size, labelling_count
 from mecensus.graphs import Graph, apply_permutation, complement, complete_graph, encode, pair_count
 from mecensus.orderly import canonicalize, generate_all
@@ -57,3 +60,10 @@ def test_labellings_equal_for_complement():
         for layer in generate_all(n):
             for g in layer.graphs:
                 assert labelling_count(g) == labelling_count(canonicalize(complement(g)))
+
+
+def test_labelling_count_rejects_non_divisor(monkeypatch):
+    # 7 does not divide 4! = 24; the check must survive python -O
+    monkeypatch.setattr(automorphisms, "automorphism_group_size", lambda g: 7)
+    with pytest.raises(RuntimeError, match="does not divide"):
+        automorphisms.labelling_count(complete_graph(4))

@@ -2,8 +2,6 @@ import itertools
 
 import pytest
 
-from mecensus import _kernels
-from mecensus import markov as _markov
 from mecensus.graphs import Graph, complete_graph, encode
 from mecensus.markov import (
     class_code,
@@ -139,21 +137,25 @@ def test_class_sizes_sum_to_orientation_count():
                 assert all(s >= 1 for s in table.classes.values())
 
 
-def test_kernel_backends_agree_with_streaming():
-    backends = [_kernels.enumerate_codes_python]
-    if _kernels.enumerate_codes_compiled is not None:
-        backends.append(_kernels.enumerate_codes_compiled)
-    for n in (3, 4, 5):
+def streamed_classes(g: Graph) -> dict[int, int]:
+    # reference tally: the public orientation stream keyed by class_code
+    vcs = find_v_configurations(g)
+    counts = {}
+    for o in enumerate_acyclic_orientations(g):
+        c = class_code(o, vcs)
+        counts[c] = counts.get(c, 0) + 1
+    return dict(sorted(counts.items()))
+
+
+def test_classify_matches_streaming_reference():
+    for n in (3, 4, 5, 6):
         for layer in generate_all(n):
             for g in layer.graphs:
-                vcs = find_v_configurations(g)
-                stream = {}
-                for o in enumerate_acyclic_orientations(g):
-                    c = class_code(o, vcs)
-                    stream[c] = stream.get(c, 0) + 1
-                for kernel in backends:
-                    table = classify_skeleton(g, kernel=kernel)
-                    assert table.classes == dict(sorted(stream.items()))
+                table = classify_skeleton(g)
+                stream = streamed_classes(g)
+                assert table.classes == stream
+                assert list(table.classes) == list(stream)  # codes ascending
+                assert table.total_orientations == sum(stream.values())
 
 
 def test_path_no_immorality_class_has_size_n():
@@ -174,7 +176,7 @@ def test_max_vconfig_prediction_values():
 
 def test_wide_code_uses_high_word():
     # two adjacent hubs sharing ten leaves: 90 v-configurations, so class
-    # codes spill past bit 63; orientation total has the closed form 2*3^10
+    # codes reach past bit 63; orientation total has the closed form 2*3^10
     hubs = {(1, 2)}
     fans = {(1, x) for x in range(3, 13)} | {(2, x) for x in range(3, 13)}
     g = encode(hubs | fans, 12)
@@ -184,19 +186,7 @@ def test_wide_code_uses_high_word():
     assert table.total_orientations == 2 * 3 ** 10
     assert sum(table.classes.values()) == table.total_orientations
     assert max(table.classes) >> 64 != 0  # immoralities centered on hub 2
-    streamed = _markov._classify_streaming(g, vcs)
-    assert streamed.classes == table.classes
-
-
-def test_streaming_fallback_matches_kernel_when_forced(monkeypatch):
-    monkeypatch.setattr(_markov, "_KERNEL_SITE_LIMIT", 2)
-    for layer in generate_all(5):
-        for g in layer.graphs:
-            forced = classify_skeleton(g)  # streaming for all but trivial skeletons
-            monkeypatch.setattr(_markov, "_KERNEL_SITE_LIMIT", 128)
-            via_kernel = classify_skeleton(g)
-            monkeypatch.setattr(_markov, "_KERNEL_SITE_LIMIT", 2)
-            assert forced.classes == via_kernel.classes
+    assert table.classes == streamed_classes(g)
 
 
 def test_vconfig_maximum_attained_on_balanced_bipartite():
