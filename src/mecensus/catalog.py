@@ -14,6 +14,7 @@ carry the by-edge, by-size, and joint (edges x size) tables.
 from __future__ import annotations
 
 import os
+from math import comb
 from pathlib import Path
 from typing import Iterable
 
@@ -51,7 +52,8 @@ def write_catalog(path: Path | str, n: int, e: int,
 def read_catalog(path: Path | str) -> tuple[int, int, list[SkeletonRecord]]:
     """Parse and validate one layer file.
 
-    Structural checks only (header, counts, descending codes, edge counts);
+    Structural checks only (header, counts, descending codes, edge counts,
+    and labellings summing to the C(m, e) labelled graphs of the layer);
     canonicity of the codes is not re-proved here.
     """
     path = Path(path)
@@ -92,6 +94,11 @@ def read_catalog(path: Path | str) -> tuple[int, int, list[SkeletonRecord]]:
             raise CatalogError(f"{path}: codes not strictly descending at {parts[0]}")
         prev_code = code
         records.append(SkeletonRecord(graph=Graph(n, code), labellings=lab))
+    labelled = sum(r.labellings for r in records)
+    want = comb(pair_count(n), e)
+    if labelled != want:
+        raise CatalogError(f"{path}: labellings sum to {labelled}, "
+                           f"not C({pair_count(n)}, {e}) = {want}")
     return n, e, records
 
 

@@ -2,19 +2,20 @@
 
 Commands: generate (graph catalogs), census (report files), verify
 (oracle suite), extrapolate (ratio recursion).  Exit codes: 0 success,
-1 verification mismatch, 2 invalid usage or input.
+1 verification mismatch, 2 invalid usage, bad input or a dead census worker.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from itertools import groupby
 from math import comb
 from operator import attrgetter
 from pathlib import Path
 
-from . import catalog, oracles, reference
+from . import catalog, reference
 from .census import (
     SkeletonRecord,
     census,
@@ -86,6 +87,8 @@ def cmd_census(args) -> int:
 
 def _verify_checks(n: int):
     """Yield (name, ok, detail) for every oracle applicable at this n."""
+    from . import oracles  # brings numpy; only verify needs it
+
     layers = {e: list(recs) for e, recs in
               groupby(iter_skeletons(n), key=attrgetter("graph.edge_count"))}
     records = [rec for e in sorted(layers) for rec in layers[e]]
@@ -224,6 +227,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, catalog.CatalogError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenProcessPool as exc:
+        print(f"error: census worker died: {exc}", file=sys.stderr)
         return 2
 
 

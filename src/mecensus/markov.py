@@ -58,40 +58,46 @@ def classify_skeleton(g: Graph) -> SkeletonClassTable:
     Depth-first over edge directions, most significant edge first, trying
     low-to-high before high-to-low; u->v is pruned when v already reaches
     u.  reach[w] is the bitset of vertices w reaches.  An immorality site
-    is decided at the later-assigned of its two edges: sites[k] lists
-    (other edge, direction wanted here, direction wanted there, site bit),
-    with direction 1 = low to high.
+    is decided at the later-assigned of its two edges, so steps[k] holds
+    one (direction, u, v, sites) tuple per direction of edge k, and sites
+    lists the (other edge, direction wanted there, site bit) triples that
+    direction completes; direction 1 = low to high.  The code is tallied
+    as soon as the last edge is directed.
     """
     vconfigs = find_v_configurations(g)
     edges = g.edges()[::-1]
     E = len(edges)
+    if E == 0:
+        return SkeletonClassTable(classes={0: 1}, total_orientations=1)
     rank = {e: k for k, e in enumerate(edges)}
-    sites: list[list[tuple[int, int, int, int]]] = [[] for _ in range(E)]
+    sites: list[tuple[list, list]] = [([], []) for _ in range(E)]  # by direction 0, 1
     for i, (a, b, c) in enumerate(vconfigs):
         k1, w1 = rank[(min(a, b), max(a, b))], int(a < b)  # w: direction into b
         k2, w2 = rank[(min(b, c), max(b, c))], int(c < b)
         if k1 < k2:
-            sites[k2].append((k1, w2, w1, 1 << i))
+            sites[k2][w2].append((k1, w1, 1 << i))
         else:
-            sites[k1].append((k2, w1, w2, 1 << i))
+            sites[k1][w1].append((k2, w2, 1 << i))
+    steps = [((1, i - 1, j - 1, tuple(s[1])), (0, j - 1, i - 1, tuple(s[0])))
+             for (i, j), s in zip(edges, sites)]
+    last = E - 1
     dirs = [0] * E
     counts: dict[int, int] = {}
 
     def rec(k: int, reach: list[int], code: int) -> None:
-        if k == E:
-            counts[code] = counts.get(code, 0) + 1
-            return
-        i, j = edges[k]
-        for bit, u, v in ((1, i - 1, j - 1), (0, j - 1, i - 1)):
+        for bit, u, v, ksites in steps[k]:
             mv = reach[v]
             if mv >> u & 1:
                 continue
             dirs[k] = bit
             c = code
-            for other, want, want_other, flag in sites[k]:
-                if bit == want and dirs[other] == want_other:
+            for other, want_other, flag in ksites:
+                if dirs[other] == want_other:
                     c |= flag
-            rec(k + 1, [r | mv if r >> u & 1 else r for r in reach], c)
+            if k == last:
+                counts[c] = counts.get(c, 0) + 1
+            else:
+                rec(k + 1, [r | mv if r >> u & 1 else r for r in reach], c)
 
     rec(0, [1 << v for v in range(g.n)], 0)
     return SkeletonClassTable(

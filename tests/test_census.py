@@ -6,6 +6,7 @@ import pytest
 
 from mecensus.catalog import report_lines
 from mecensus.census import (
+    _slices,
     census,
     census_skeletons,
     empty_report,
@@ -18,6 +19,7 @@ from mecensus.census import (
     ratio_asymptote,
     robinson_adg_count,
 )
+from mecensus.markov import classify_skeleton
 from mecensus.oracles import brute_force_census
 
 # SHA-256 of the `mecensus census --n 6` report file
@@ -74,6 +76,25 @@ def test_census_jobs_match_serial():
     serial = census(5, jobs=1)
     parallel = census(5, jobs=2)
     assert serial == parallel
+
+
+def test_slices_deal_every_item_once():
+    items = list(range(23))
+    for jobs in range(1, 6):
+        slices = _slices(items, jobs)
+        assert len(slices) == jobs
+        assert sorted(x for s in slices for x in s) == items
+
+
+def test_slices_balance_orientations_at_n6():
+    # skeletons arrive layer by layer; contiguous halves put 83% on one worker
+    skeletons = list(iter_skeletons(6))
+    assert len(skeletons) == 156
+    cost = {r.graph.code: classify_skeleton(r.graph).total_orientations for r in skeletons}
+    total = sum(cost.values())
+    for jobs in (2, 3):
+        largest = max(sum(cost[r.graph.code] for r in s) for s in _slices(skeletons, jobs))
+        assert largest / total <= 1 / jobs + 0.05
 
 
 def test_report_n6_bytes_are_pinned():

@@ -1,3 +1,9 @@
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from mecensus import cli
@@ -43,6 +49,37 @@ def test_census_jobs_byte_identical(tmp_path, capsys):
         assert code == 0
         outputs.append(path.read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_census_jobs3_matches_serial_n6(tmp_path, capsys):
+    outputs = []
+    for jobs in ("1", "3"):
+        path = tmp_path / f"r{jobs}.txt"
+        assert run(capsys, "census", "--n", "6", "--jobs", jobs, "--out", str(path))[0] == 0
+        outputs.append(path.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def _die_in_worker(n, items):
+    os._exit(1)
+
+
+def test_census_worker_death_exits_2(capsys, monkeypatch):
+    # module-level so the pool pickles it by name; forked workers see the patch.
+    # The package's `census` attribute is the function, so fetch the module.
+    monkeypatch.setattr(importlib.import_module("mecensus.census"), "_census_slice",
+                        _die_in_worker)
+    code, _, err = run(capsys, "census", "--n", "4", "--jobs", "2")
+    assert code == 2
+    assert "error: census worker died" in err
+
+
+def test_cli_import_leaves_numpy_out():
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    probe = "import sys, mecensus.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_census_from_catalogs_matches_regeneration(tmp_path, capsys):
@@ -93,6 +130,18 @@ def test_census_rejects_corrupt_catalog(tmp_path, capsys):
     code, _, err = run(capsys, "census", "--n", "3", "--graphs", str(tmp_path))
     assert code == 2
     assert "e1.cat" in err
+
+
+def test_census_rejects_catalog_with_wrong_labelling_sum(tmp_path, capsys):
+    run(capsys, "generate", "--n", "5", "--graphs", str(tmp_path))
+    victim = catalog_path(tmp_path, 5, 4)
+    head, first, *rest = victim.read_text().splitlines()
+    code, lab = first.split()
+    victim.write_text("\n".join([head, f"{code} {int(lab) + 1}", *rest]) + "\n")
+    code, _, err = run(capsys, "census", "--n", "5", "--graphs", str(tmp_path))
+    assert code == 2
+    assert "e4.cat" in err
+    assert "labellings sum to" in err
 
 
 def test_census_rejects_bad_edge_range(capsys):

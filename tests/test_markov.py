@@ -148,7 +148,7 @@ def streamed_classes(g: Graph) -> dict[int, int]:
 
 
 def test_classify_matches_streaming_reference():
-    for n in (3, 4, 5, 6):
+    for n in range(1, 7):  # includes every edgeless graph
         for layer in generate_all(n):
             for g in layer.graphs:
                 table = classify_skeleton(g)
