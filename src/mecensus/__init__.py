@@ -25,7 +25,14 @@ from .markov import (
     find_v_configurations,
     max_vconfig_prediction,
 )
-from .orderly import GenerationLayer, augment_children, canonicalize, generate_all, is_canonical
+from .orderly import (
+    GenerationLayer,
+    augment_children,
+    canonical_search,
+    canonicalize,
+    generate_all,
+    is_canonical,
+)
 from .orientations import Orientation, count_acyclic_orientations, enumerate_acyclic_orientations
 from .automorphisms import automorphism_group_size, labelling_count
 
@@ -41,6 +48,7 @@ __all__ = [
     "apply_permutation",
     "augment_children",
     "automorphism_group_size",
+    "canonical_search",
     "canonicalize",
     "census",
     "class_code",

@@ -98,8 +98,8 @@ def iter_skeletons(n: int, edges: tuple[int, int] | None = None) -> Iterable[Ske
     for layer in generate_all(n):
         if edges is not None and not edges[0] <= layer.edge_count <= edges[1]:
             continue
-        for g in layer.graphs:
-            yield SkeletonRecord(graph=g, labellings=automorphisms.labelling_count(g))
+        for g, aut in zip(layer.graphs, layer.auts):
+            yield SkeletonRecord(graph=g, labellings=automorphisms.labelling_count(g, aut))
 
 
 def census_skeletons(n: int, records: Iterable[SkeletonRecord]) -> CensusReport:

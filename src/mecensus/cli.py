@@ -56,7 +56,8 @@ def _load_or_generate(n: int, graphs_dir: str | None,
     wanted = range(m + 1) if edges is None else range(edges[0], edges[1] + 1)
     if graphs_dir is not None:
         paths = [(e, catalog.catalog_path(graphs_dir, n, e)) for e in wanted]
-        if all(p.exists() for _, p in paths):
+        missing = next((p for _, p in paths if not p.exists()), None)
+        if missing is None:
             records = []
             for e, p in paths:
                 fn, fe, recs = catalog.read_catalog(p)
@@ -64,6 +65,8 @@ def _load_or_generate(n: int, graphs_dir: str | None,
                     raise catalog.CatalogError(f"{p}: header does not match its location")
                 records.extend(recs)
             return records
+        print(f"note: catalog {missing} not found; regenerating the skeletons",
+              file=sys.stderr)
     return list(iter_skeletons(n, edges))
 
 

@@ -1,39 +1,42 @@
 """Isomorph-free generation of undirected graphs, layered by edge count.
 
 A graph is canonical when its bit code is maximal over all relabellings.
-Layers grow by edge augmentation: each canonical parent spawns children
-by setting one bit inside its trailing run of zero bits, and a child
-survives iff it is itself canonical.  Clearing the lowest set bit of any
-child recovers its unique parent, so every canonical graph is produced
-exactly once.  Layers above half the possible edge count come from
-complementing the mirror layer and re-canonicalizing.
+Layers grow by edge augmentation (Read's orderly method): each canonical
+parent spawns children by setting one bit inside its trailing run of zero
+bits, and a child survives iff it is itself canonical.  Clearing the
+lowest set bit of any child recovers its unique parent, so every
+canonical graph is produced exactly once.  Layers above half the possible
+edge count come from complementing the mirror layer and re-canonicalizing.
+
+Canonical codes and automorphism group orders come from one search,
+canonical_search, which fixes the code column by column.  Labels go out
+n, n-1, ..., 1; column k holds the pairs (i, k), i < k, and outranks every
+later column, so a maximal labelling maximises column k given the labels
+above it.  The unassigned vertices form an ordered tuple of cells, each
+owning a contiguous label range; every vertex of a cell has the same
+neighbours among the labelled ones.  Label k comes from the top cell.
+Giving it to v pushes v's neighbours to the top of every cell, which fixes
+column k, and each cell then splits into (neighbours, non-neighbours).
+Only the states that tie on the best column go on to the next label, as
+in individualisation-refinement (McKay & Piperno 2014); the labellings
+that survive to the end are exactly those reaching the maximal code, so
+their number is |Aut|.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .graphs import (
     Graph,
     adjacency_masks,
     apply_permutation,
     complement,
-    degree_sequence,
     pair_count,
     pair_index,
 )
-
-# Fast-reject rules, each a cheap necessary condition for canonicity.
-# "neighbor_degree" (the next-to-top vertex must have maximal degree among
-# the top vertex's neighbors) is NOT sound under this bit coding: at n=6 it
-# rejects the canonical code 0x7206 (edges 13,23,45,36,46,56).  It stays
-# available for experiments but is excluded from the default set, and the
-# test suite machine-checks that the default rules never reject a canonical
-# graph.
-DEFAULT_RULES = ("top_degree", "isolated_prefix", "packed_top_column")
-ALL_RULES = DEFAULT_RULES + ("neighbor_degree",)
 
 
 def augment_children(g: Graph) -> list[Graph]:
@@ -49,140 +52,76 @@ def augment_children(g: Graph) -> list[Graph]:
     return [Graph(g.n, g.code | (1 << p)) for p in range(run - 1, -1, -1)]
 
 
-def quick_reject(g: Graph, rules: Sequence[str] = DEFAULT_RULES) -> bool:
-    """True only if g is provably non-canonical; False is inconclusive."""
-    n = g.n
-    deg = degree_sequence(g)
-    top = deg[n - 1]
+def canonical_search(n: int, adj: list[int], target: int = -1) -> tuple[int, int]:
+    """(maximal code, |Aut|) of the graph with neighbour masks adj.
 
-    if "top_degree" in rules:
-        if any(d > top for d in deg):
-            return True
+    A state is the tuple of unassigned cells; states reached by different
+    labellings but holding the same cells have the same future, so they
+    merge and carry their multiplicity.  The cost grows with the number
+    of distinct states that tie on the best columns: K_n and the edgeless
+    graph keep C(n, j) after j labels (2^n in all, not n!), and highly
+    regular graphs can keep many more.
 
-    if "isolated_prefix" in rules:
-        seen_positive = False
-        for v in range(n):
-            if deg[v] > 0:
-                seen_positive = True
-            elif seen_positive:
-                return True
-
-    neighbors = [i for i in range(1, n) if g.code >> pair_index(i, n) & 1]
-
-    if "packed_top_column" in rules:
-        # the most significant column must carry its bits contiguously
-        # from the diagonal down, else relabelling the top vertex's
-        # neighbors upward would enlarge the code
-        if neighbors and neighbors != list(range(n - top, n)):
-            return True
-
-    if "neighbor_degree" in rules and neighbors:
-        second = deg[n - 2]
-        if any(deg[v - 1] > second for v in neighbors):
-            return True
-
-    return False
-
-
-def _beats_target(n: int, adj: list[int], deg: list[int], target: int) -> bool:
-    """Whether some relabelling yields a code strictly above target."""
-    full = (1 << pair_count(n)) - 1
-    maxdeg = max(deg)
-    order = sorted(range(n), key=lambda v: (-deg[v], v))
-    assigned: list[int] = []  # assigned[t] holds new label n - t
-
-    def rec(det_code: int, det_mask: int, used: int) -> bool:
-        k = n - len(assigned)
-        for v in order:
-            if used >> v & 1:
-                continue
-            if k == n and deg[v] != maxdeg:
-                # the top label must go to a vertex of maximal degree
-                continue
-            nd_code, nd_mask = det_code, det_mask
-            av = adj[v]
-            lbl = n
-            for w in assigned:
-                p = pair_index(k, lbl)
-                nd_mask |= 1 << p
-                if av >> w & 1:
-                    nd_code |= 1 << p
-                lbl -= 1
-            if nd_code > target:
-                return True
-            if nd_code | (full & ~nd_mask) <= target:
-                continue  # no completion can exceed target
-            assigned.append(v)
-            hit = rec(nd_code, nd_mask, used | 1 << v)
-            assigned.pop()
-            if hit:
-                return True
-        return False
-
-    return rec(0, 0, 0)
+    With target >= 0 the search stops at the first column whose best value
+    differs from target's column; it then returns that partial code, which
+    differs from target, and |Aut| = 0.  So target is canonical iff the
+    returned code equals it.
+    """
+    states = {((1 << n) - 1,): 1}
+    code = 0
+    for k in range(n, 0, -1):
+        shift = pair_index(1, k)
+        best = -1
+        nxt: dict[tuple[int, ...], int] = {}
+        for cells, mult in states.items():
+            top = cells[0]
+            rest = top
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                av = adj[low.bit_length() - 1]
+                hi = k - 1  # highest label still free below k
+                col = 0
+                split = []
+                for cell in (top ^ low,) + cells[1:]:
+                    if not cell:
+                        continue
+                    nb = cell & av
+                    t = nb.bit_count()
+                    col |= ((1 << t) - 1) << (hi - t)
+                    hi -= cell.bit_count()
+                    if nb:
+                        split.append(nb)
+                    if nb != cell:
+                        split.append(cell ^ nb)
+                if col > best:
+                    best = col
+                    nxt = {tuple(split): mult}
+                elif col == best:
+                    key = tuple(split)
+                    nxt[key] = nxt.get(key, 0) + mult
+        code |= best << shift
+        if target >= 0 and best != target >> shift & ((1 << (k - 1)) - 1):
+            return code, 0
+        states = nxt
+    return code, sum(states.values())
 
 
-def _max_code(n: int, adj: list[int], deg: list[int]) -> int:
-    """Maximum code over all relabellings (branch and bound)."""
-    full = (1 << pair_count(n)) - 1
-    maxdeg = max(deg)
-    order = sorted(range(n), key=lambda v: (-deg[v], v))
-    assigned: list[int] = []
-    best = 0
-
-    def rec(det_code: int, det_mask: int, used: int) -> None:
-        nonlocal best
-        k = n - len(assigned)
-        if k == 0:
-            if det_code > best:
-                best = det_code
-            return
-        for v in order:
-            if used >> v & 1:
-                continue
-            if k == n and deg[v] != maxdeg:
-                continue
-            nd_code, nd_mask = det_code, det_mask
-            av = adj[v]
-            lbl = n
-            for w in assigned:
-                p = pair_index(k, lbl)
-                nd_mask |= 1 << p
-                if av >> w & 1:
-                    nd_code |= 1 << p
-                lbl -= 1
-            if nd_code | (full & ~nd_mask) <= best:
-                continue
-            assigned.append(v)
-            rec(nd_code, nd_mask, used | 1 << v)
-            assigned.pop()
-
-    rec(0, 0, 0)
-    return best
-
-
-def is_canonical(g: Graph, rules: Sequence[str] = DEFAULT_RULES,
-                 exhaustive: bool = False) -> bool:
+def is_canonical(g: Graph, exhaustive: bool = False) -> bool:
     """True iff no relabelling yields a strictly larger code.
 
-    exhaustive=True compares against every one of the n! permutations,
-    bypassing both the reject rules and the pruned search.
+    exhaustive=True compares against every one of the n! permutations
+    instead of running the search.
     """
     if exhaustive:
         return all(apply_permutation(g, perm).code <= g.code
                    for perm in itertools.permutations(range(1, g.n + 1)))
-    if quick_reject(g, rules):
-        return False
-    adj = adjacency_masks(g)
-    deg = [m.bit_count() for m in adj]
-    return not _beats_target(g.n, adj, deg, g.code)
+    return canonical_search(g.n, adjacency_masks(g), g.code)[0] == g.code
 
 
 def canonicalize(g: Graph) -> Graph:
     """The relabelling of g with maximal code; idempotent, isomorphism-invariant."""
-    adj = adjacency_masks(g)
-    deg = [m.bit_count() for m in adj]
-    return Graph(g.n, _max_code(g.n, adj, deg))
+    return Graph(g.n, canonical_search(g.n, adjacency_masks(g))[0])
 
 
 @dataclass
@@ -190,25 +129,32 @@ class GenerationLayer:
     n: int
     edge_count: int
     graphs: list[Graph]  # strictly descending code
+    auts: list[int]  # |Aut| of each graph, in the same order
 
 
-def generate_all(n: int, rules: Sequence[str] = DEFAULT_RULES) -> Iterator[GenerationLayer]:
+def generate_all(n: int) -> Iterator[GenerationLayer]:
     """One representative per isomorphism class, layered by edge count 0..m.
 
     Layers up to floor(m/2) are grown by augmentation (so the middle layer,
     when m is even, never goes through complementation); the rest mirror the
-    lower half through complement + canonicalize.
+    lower half through complement + canonicalize.  Each kept graph is
+    searched once, and its |Aut| travels with it.
     """
     if n < 1:
         raise ValueError("need at least one vertex")
     m = pair_count(n)
-    layers: dict[int, list[Graph]] = {0: [Graph(n, 0)]}
+    layers: dict[int, dict[int, int]] = {0: {0: canonical_search(n, [0] * n)[1]}}
     for e in range(m // 2):
-        kids = {c.code for p in layers[e] for c in augment_children(p)
-                if is_canonical(c, rules)}
-        layers[e + 1] = [Graph(n, c) for c in sorted(kids, reverse=True)]
+        kids = layers[e + 1] = {}
+        for p in layers[e]:
+            for c in augment_children(Graph(n, p)):
+                code, aut = canonical_search(n, adjacency_masks(c), c.code)
+                if code == c.code:
+                    kids[code] = aut
     for e in range(m // 2 + 1, m + 1):
-        codes = {canonicalize(complement(g)).code for g in layers[m - e]}
-        layers[e] = [Graph(n, c) for c in sorted(codes, reverse=True)]
+        layers[e] = dict(canonical_search(n, adjacency_masks(complement(Graph(n, p))))
+                         for p in layers[m - e])
     for e in range(m + 1):
-        yield GenerationLayer(n=n, edge_count=e, graphs=layers[e])
+        codes = sorted(layers[e], reverse=True)
+        yield GenerationLayer(n=n, edge_count=e, graphs=[Graph(n, c) for c in codes],
+                              auts=[layers[e][c] for c in codes])

@@ -20,6 +20,18 @@ def test_complete_graph_full_symmetry():
         assert labelling_count(complete_graph(n)) == 1
 
 
+def test_symmetric_graphs_at_twelve_vertices():
+    # labellings that leave the same cells merge, so n! labellings of K_12
+    # cost a few thousand states, not 12!
+    n = 12
+    matching = encode({(v, v + 1) for v in range(1, n, 2)}, n)
+    cycle = encode({(v, v + 1) for v in range(1, n)} | {(1, n)}, n)
+    assert automorphism_group_size(complete_graph(n)) == factorial(n)
+    assert automorphism_group_size(Graph(n, 0)) == factorial(n)
+    assert automorphism_group_size(matching) == 2 ** 6 * factorial(6)
+    assert automorphism_group_size(cycle) == 2 * n
+
+
 def test_path_swaps_leaves():
     assert automorphism_group_size(Graph(3, 6)) == 2
     assert labelling_count(Graph(3, 6)) == 3

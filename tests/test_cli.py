@@ -1,12 +1,14 @@
+import hashlib
 import importlib
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
 
-from mecensus import cli
+from mecensus import cli, reference
 from mecensus.catalog import catalog_path, read_catalog
 
 
@@ -31,6 +33,24 @@ def test_generate_single_record_for_n1(tmp_path, capsys):
     n, e, records = read_catalog(catalog_path(tmp_path, 1, 0))
     assert (n, e, len(records)) == (1, 0, 1)
     assert records[0].graph.code == 0
+
+
+def test_generate_n8_catalogs_are_pinned(tmp_path, capsys):
+    code, _, _ = run(capsys, "generate", "--n", "8", "--graphs", str(tmp_path))
+    assert code == 0
+    digest = hashlib.sha256()
+    skeletons = 0
+    for e in range(29):
+        path = catalog_path(tmp_path, 8, e)
+        digest.update(path.read_bytes())
+        records = read_catalog(path)[2]
+        skeletons += len(records)
+        assert sum(r.labellings for r in records) == comb(28, e)
+    assert skeletons == reference.KNOWN_UNLABELED_GRAPHS[8]
+    # SHA-256 of the files e0..e28 as the branch-and-bound generator that
+    # canonical_search replaced wrote them
+    assert digest.hexdigest() == (
+        "37f792b0dd3abe243d0262cec1bfa1639a18f68c7bf24587c30de077155fec66")
 
 
 def test_census_stdout_report(capsys):
@@ -90,6 +110,21 @@ def test_census_from_catalogs_matches_regeneration(tmp_path, capsys):
                "--out", str(a))[0] == 0
     assert run(capsys, "census", "--n", "4", "--out", str(b))[0] == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_census_logs_missing_catalog_and_regenerates(tmp_path, capsys):
+    run(capsys, "generate", "--n", "4", "--graphs", str(tmp_path / "g"))
+    catalog_path(tmp_path / "g", 4, 2).unlink()
+    catalog_path(tmp_path / "g", 4, 5).unlink()
+    code, out, err = run(capsys, "census", "--n", "4", "--graphs", str(tmp_path / "g"))
+    assert code == 0
+    assert out == run(capsys, "census", "--n", "4")[1]
+    assert len(err.splitlines()) == 1
+    assert "e2.cat" in err and "e5.cat" not in err
+    assert "regenerating" in err
+    # a complete catalog set is read without a word
+    run(capsys, "generate", "--n", "4", "--graphs", str(tmp_path / "g"))
+    assert run(capsys, "census", "--n", "4", "--graphs", str(tmp_path / "g"))[2] == ""
 
 
 def test_census_edge_slice_consistent(tmp_path, capsys):
@@ -161,8 +196,8 @@ def test_verify_catches_injected_labelling_fault(capsys, monkeypatch):
     from mecensus import automorphisms
     real = automorphisms.labelling_count
 
-    def off_by_one(g):
-        value = real(g)
+    def off_by_one(g, aut=None):
+        value = real(g, aut)
         return value + 1 if g.edge_count == 2 else value
 
     monkeypatch.setattr(automorphisms, "labelling_count", off_by_one)

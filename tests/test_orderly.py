@@ -1,16 +1,21 @@
 import itertools
 from collections import Counter
 
-from mecensus.graphs import Graph, apply_permutation, complement, complete_graph, pair_count
+from mecensus.graphs import (
+    Graph,
+    adjacency_masks,
+    apply_permutation,
+    complement,
+    complete_graph,
+    pair_count,
+)
 from mecensus.oracles import brute_force_unlabeled
 from mecensus.orderly import (
-    ALL_RULES,
-    DEFAULT_RULES,
     augment_children,
+    canonical_search,
     canonicalize,
     generate_all,
     is_canonical,
-    quick_reject,
 )
 
 
@@ -34,24 +39,17 @@ def test_augment_children_parent_recovery():
                 assert child.code & (child.code - 1) == g.code  # drop lowest set bit
 
 
-def test_quick_reject_examples():
-    assert quick_reject(Graph(3, 1)) is True  # vertex 3 isolated, others not
-    assert quick_reject(Graph(3, 4)) is False
-
-
-def test_quick_reject_sound_on_all_canonical_graphs():
-    # must never fire on a canonical graph; checked against the
-    # all-permutations oracle for every unlabeled graph up to n=6
-    for n in range(1, 7):
-        for code in brute_force_unlabeled(n):
-            assert not quick_reject(Graph(n, code), DEFAULT_RULES)
-
-
-def test_neighbor_degree_rule_is_unsound_and_off_by_default():
+def test_canonical_search_stops_at_first_differing_column():
+    # 0x7206 (edges 13,23,45,36,46,56) is canonical at n=6 although vertex
+    # 5 has a larger degree than the top vertex's other neighbours
     g = Graph(6, 0x7206)
     assert is_canonical(g, exhaustive=True)
-    assert not quick_reject(g, DEFAULT_RULES)
-    assert quick_reject(g, ALL_RULES)  # why the rule is not in the default set
+    assert canonical_search(6, adjacency_masks(g), g.code) == (g.code, 4)
+    # the edge 12 beside an isolated vertex 3: column 3 reads 00 where 10
+    # is reachable, so the search stops there with |Aut| unset
+    g = Graph(3, 0b001)
+    assert canonical_search(3, adjacency_masks(g), g.code) == (0b100, 0)
+    assert canonical_search(3, adjacency_masks(g)) == (0b100, 2)
 
 
 def test_is_canonical_small_examples():
