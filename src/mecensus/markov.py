@@ -4,7 +4,10 @@ Two acyclic digraphs on the same skeleton are Markov equivalent iff they
 induce the same immoralities, so the set of immoralities present, written
 as a bitset over the skeleton's ordered v-configuration list, is a unique
 class key.  Classifying a skeleton means enumerating its acyclic
-orientations and tallying orientations per key.
+orientations and tallying orientations per key.  classify_skeleton
+builds each orientation from its source layers (the sources, then the
+sources of what is left, and so on), so acyclicity holds by construction
+and a vertex's immoralities are read off when its layer is placed.
 """
 
 from __future__ import annotations
@@ -55,51 +58,91 @@ class SkeletonClassTable:
 def classify_skeleton(g: Graph) -> SkeletonClassTable:
     """Group the acyclic orientations of g by class code.
 
-    Depth-first over edge directions, most significant edge first, trying
-    low-to-high before high-to-low; u->v is pruned when v already reaches
-    u.  reach[w] is the bitset of vertices w reaches.  An immorality site
-    is decided at the later-assigned of its two edges, so steps[k] holds
-    one (direction, u, v, sites) tuple per direction of edge k, and sites
-    lists the (other edge, direction wanted there, site bit) triples that
-    direction completes; direction 1 = low to high.  The code is tallied
-    as soon as the last edge is directed.
+    Each orientation is enumerated once, by its source layers: S1 is the
+    set of sources, S2 the sources once S1 is removed, and so on.  Every
+    layer is a nonempty independent set, every vertex of S(i+1) has a
+    neighbour in S(i), and every edge points from its earlier layer to its
+    later one; conversely each such sequence of layers covering all
+    vertices is the layering of exactly one acyclic orientation, so no
+    reachability test is needed.  The walk recurses on (remaining
+    vertices, candidates = remaining & N(last layer)) and tries every
+    independent subset of the candidates as the next layer.
+
+    A v-configuration (a, b, c) is an immorality iff a and c are both
+    placed before b, so placing b ORs in imm[b][placed & N(b)], a table
+    over the subsets of N(b).  Tables over all vertex subsets hold each
+    set's neighbourhood union, independence and, for a last layer, the
+    code of all its v-configurations.  A layer is skipped when a remaining
+    vertex has no neighbour among the remaining vertices or in that layer,
+    since nothing could be its parent.  When what remains after a layer is
+    independent, it can only be the last layer, and the check above has
+    just made each of its vertices adjacent to the layer placed; that case
+    is tallied inline.  Recursion depth is at most n.
     """
-    vconfigs = find_v_configurations(g)
-    edges = g.edges()[::-1]
-    E = len(edges)
-    if E == 0:
-        return SkeletonClassTable(classes={0: 1}, total_orientations=1)
-    rank = {e: k for k, e in enumerate(edges)}
-    sites: list[tuple[list, list]] = [([], []) for _ in range(E)]  # by direction 0, 1
-    for i, (a, b, c) in enumerate(vconfigs):
-        k1, w1 = rank[(min(a, b), max(a, b))], int(a < b)  # w: direction into b
-        k2, w2 = rank[(min(b, c), max(b, c))], int(c < b)
-        if k1 < k2:
-            sites[k2][w2].append((k1, w1, 1 << i))
+    n = g.n
+    adj = adjacency_masks(g)
+    sites: list[dict[int, int]] = [{} for _ in range(n)]  # per centre: {a, c} mask -> code bit
+    for i, (a, b, c) in enumerate(find_v_configurations(g)):
+        sites[b - 1][1 << (a - 1) | 1 << (c - 1)] = 1 << i
+    imm = []
+    for nb, pairs in zip(adj, sites):
+        t = {0: 0}
+        s = -nb & nb  # the nonempty subsets of nb, ascending
+        while s:
+            low = s & -s
+            r = s ^ low
+            if r:
+                low2 = r & -r  # a pair inside s avoids low, avoids low2 or is both
+                t[s] = t[r] | t[s ^ low2] | pairs.get(low | low2, 0)
+            else:
+                t[s] = 0
+            s = (s - nb) & nb
+        imm.append(t)
+
+    size = 1 << n
+    nbr = [0] * size
+    indep = [True] * size
+    sink = [0] * size  # independent s as the last layer: all its v-configurations
+    members: list[tuple] = [()] * size  # (N(b), imm[b]) per vertex b of independent s
+    for s in range(1, size):
+        low = s & -s
+        v = low.bit_length() - 1
+        r = s ^ low
+        nbr[s] = nbr[r] | adj[v]
+        if indep[r] and not adj[v] & r:
+            sink[s] = sink[r] | imm[v][adj[v]]
+            members[s] = members[r] + ((adj[v], imm[v]),)
         else:
-            sites[k1][w1].append((k2, w2, 1 << i))
-    steps = [((1, i - 1, j - 1, tuple(s[1])), (0, j - 1, i - 1, tuple(s[0])))
-             for (i, j), s in zip(edges, sites)]
-    last = E - 1
-    dirs = [0] * E
+            indep[s] = False
+
+    layers: dict[int, list[tuple]] = {}
     counts: dict[int, int] = {}
 
-    def rec(k: int, reach: list[int], code: int) -> None:
-        for bit, u, v, ksites in steps[k]:
-            mv = reach[v]
-            if mv >> u & 1:
-                continue
-            dirs[k] = bit
-            c = code
-            for other, want_other, flag in ksites:
-                if dirs[other] == want_other:
-                    c |= flag
-            if k == last:
-                counts[c] = counts.get(c, 0) + 1
-            else:
-                rec(k + 1, [r | mv if r >> u & 1 else r for r in reach], c)
+    def options(cand: int) -> list[tuple]:
+        out = layers[cand] = []
+        s = cand
+        while s:
+            if indep[s]:
+                out.append((s, nbr[s], members[s]))
+            s = (s - 1) & cand
+        return out
 
-    rec(0, [1 << v for v in range(g.n)], 0)
+    def rec(remaining: int, placed: int, cand: int, code: int) -> None:
+        for s, ns, vs in layers.get(cand) or options(cand):
+            rest = remaining ^ s
+            if rest & ~(nbr[rest] | ns):
+                continue  # a vertex of rest has no neighbour left to be its parent
+            c = code
+            for nb, t in vs:
+                c |= t[placed & nb]
+            if indep[rest]:
+                c |= sink[rest]
+                counts[c] = counts.get(c, 0) + 1
+            elif rest & ns:
+                rec(rest, placed | s, rest & ns, c)
+
+    full = size - 1
+    rec(full, 0, full, 0)
     return SkeletonClassTable(
         classes={c: counts[c] for c in sorted(counts)},
         total_orientations=sum(counts.values()),

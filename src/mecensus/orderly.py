@@ -34,6 +34,7 @@ from .graphs import (
     adjacency_masks,
     apply_permutation,
     complement,
+    iter_pairs,
     pair_count,
     pair_index,
 )
@@ -138,19 +139,28 @@ def generate_all(n: int) -> Iterator[GenerationLayer]:
     Layers up to floor(m/2) are grown by augmentation (so the middle layer,
     when m is even, never goes through complementation); the rest mirror the
     lower half through complement + canonicalize.  Each kept graph is
-    searched once, and its |Aut| travels with it.
+    searched once, and its |Aut| travels with it.  A child's neighbour
+    masks are its parent's plus the one new edge.
     """
     if n < 1:
         raise ValueError("need at least one vertex")
     m = pair_count(n)
+    pairs = list(iter_pairs(n))
     layers: dict[int, dict[int, int]] = {0: {0: canonical_search(n, [0] * n)[1]}}
+    grown = {0: [0] * n}  # neighbour masks of the graphs in the last grown layer
     for e in range(m // 2):
         kids = layers[e + 1] = {}
-        for p in layers[e]:
+        parents, grown = grown, {}
+        for p, pmasks in parents.items():
             for c in augment_children(Graph(n, p)):
-                code, aut = canonical_search(n, adjacency_masks(c), c.code)
+                i, j = pairs[(c.code ^ p).bit_length() - 1]
+                masks = pmasks.copy()
+                masks[i - 1] |= 1 << (j - 1)
+                masks[j - 1] |= 1 << (i - 1)
+                code, aut = canonical_search(n, masks, c.code)
                 if code == c.code:
                     kids[code] = aut
+                    grown[code] = masks
     for e in range(m // 2 + 1, m + 1):
         layers[e] = dict(canonical_search(n, adjacency_masks(complement(Graph(n, p))))
                          for p in layers[m - e])

@@ -1,8 +1,10 @@
 """Streaming enumeration of the acyclic orientations of a skeleton.
 
-The public streaming API and the independent reference for tests: the
-census proper tallies class codes with markov.classify_skeleton, which
-walks the same search tree without building Orientation objects.
+The public streaming API and the independent reference for tests.  It
+directs one edge at a time and prunes a direction that would close a
+cycle; the census proper tallies class codes with
+markov.classify_skeleton, a different algorithm that places whole source
+layers and builds no Orientation objects.
 """
 
 from __future__ import annotations

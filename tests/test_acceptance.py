@@ -4,6 +4,7 @@ Run with `pytest -s tests/test_acceptance.py` to see the lines.  The n=8
 extension is opt-in: MECENSUS_EXTENDED=1 pytest -m extended ...
 """
 
+import hashlib
 import os
 import time
 from fractions import Fraction
@@ -13,6 +14,7 @@ import pytest
 
 from mecensus import cli
 from mecensus.automorphisms import labelling_count
+from mecensus.catalog import report_lines
 from mecensus.census import (
     census,
     extrapolate_ratio,
@@ -36,6 +38,8 @@ from mecensus.reference import (
 )
 
 MAX_N = 7
+# SHA-256 of the `mecensus census --n 7` report file
+REPORT_N7_SHA256 = "7df17c35eb3632c06e85aca925b9eec333d35ae2d2a6723b5ec72cea01898005"
 
 
 _elapsed: dict[int, float] = {}
@@ -157,6 +161,13 @@ def test_criterion_9_determinism(tmp_path):
     assert cli.main(["census", "--n", "6", "--jobs", "2", "--out", str(repeat)]) == 0
     assert outputs[1] == outputs[2] == outputs[8] == repeat.read_bytes()
     print("PASS criterion 9: census reports byte-identical across jobs 1/2/8 and reruns")
+
+
+def test_report_n7_bytes_are_pinned(reports):
+    # the same report bytes the n=7 census has always written, line for line
+    text = "\n".join(report_lines(reports[7])) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_N7_SHA256
+    print("PASS report pin: the n=7 report bytes match their pinned SHA-256")
 
 
 def test_criterion_10_out_of_scope_declared_and_regressions(reports):

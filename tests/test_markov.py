@@ -158,6 +158,50 @@ def test_classify_matches_streaming_reference():
                 assert table.total_orientations == sum(stream.values())
 
 
+def cycle_graph(n: int) -> Graph:
+    return encode({(v, v + 1) for v in range(1, n)} | {(1, n)}, n)
+
+
+def test_edgeless_graphs_have_one_empty_orientation():
+    for n in range(1, 13):
+        table = classify_skeleton(Graph(n, 0))
+        assert table.classes == {0: 1}
+        assert table.total_orientations == 1
+
+
+def test_disconnected_graphs_match_streaming_reference():
+    # isolated vertices must all sit in the first layer; a remainder can be
+    # independent without touching the last layer placed
+    cases = [
+        encode({(1, 2)}, 4),  # one edge, two isolated vertices
+        encode({(1, 2), (3, 4)}, 5),  # two edges and an isolated vertex
+        encode({(1, 2), (2, 3), (4, 5)}, 6),  # path, edge, isolated vertex
+        encode({(2, 3), (3, 4), (2, 4), (5, 6), (6, 7)}, 7),  # triangle, path, isolated
+        encode({(1, 2), (1, 3), (1, 4), (6, 7), (7, 8)}, 8),  # star, path, isolated
+    ]
+    for g in cases:
+        table = classify_skeleton(g)
+        stream = streamed_classes(g)
+        assert table.classes == stream
+        assert list(table.classes) == list(stream)
+
+
+def test_complete_bipartite_matches_streaming_reference():
+    for a, b in ((3, 3), (2, 5)):
+        g = complete_bipartite(a, b)
+        table = classify_skeleton(g)
+        assert table.classes == streamed_classes(g)
+        assert table.total_orientations == sum(table.classes.values())
+
+
+def test_twelve_layer_path_and_cycle():
+    # one vertex per layer at the deepest: 12 layers
+    for g, total in ((path_graph(12), 2 ** 11), (cycle_graph(12), 2 ** 12 - 2)):
+        table = classify_skeleton(g)
+        assert table.total_orientations == total
+        assert table.classes == streamed_classes(g)
+
+
 def test_path_no_immorality_class_has_size_n():
     for n in range(3, 8):
         table = classify_skeleton(canonicalize(path_graph(n)))

@@ -1,4 +1,5 @@
-"""Property tests for the canonical search, against permutation brute force.
+"""Property tests for the canonical search, against permutation brute force,
+and for the orientation kernel, against the streaming enumerator.
 
 Examples are derandomized and no example database is kept, so every run
 checks the same graphs.
@@ -12,7 +13,9 @@ from hypothesis import strategies as st
 
 from mecensus.automorphisms import automorphism_group_size
 from mecensus.graphs import Graph, apply_permutation, pair_count
+from mecensus.markov import classify_skeleton
 from mecensus.orderly import canonicalize, is_canonical
+from test_markov import streamed_classes
 
 PROPERTY = settings(deadline=None, derandomize=True, database=None)
 
@@ -55,3 +58,14 @@ def test_is_canonical_matches_exhaustive(g, canonical_first):
     if canonical_first:
         g = canonicalize(g)
     assert is_canonical(g) == is_canonical(g, exhaustive=True)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(graphs(max_n=7))
+def test_classify_matches_streaming_on_labelled_graphs(g):
+    # random labellings, not the canonical ones the catalogs hold
+    table = classify_skeleton(g)
+    stream = streamed_classes(g)
+    assert table.classes == stream
+    assert list(table.classes) == list(stream)
+    assert table.total_orientations == sum(stream.values())
