@@ -9,7 +9,6 @@ makes worker partitioning safe.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -19,6 +18,10 @@ from . import automorphisms
 from .graphs import Graph, pair_count
 from .markov import classify_skeleton, find_v_configurations
 from .orderly import generate_all
+
+
+class CensusWorkerError(RuntimeError):
+    """A census worker process died before returning its slice."""
 
 
 @dataclass(frozen=True)
@@ -162,6 +165,7 @@ def census(n: int, skeletons: Iterable[SkeletonRecord] | None = None,
     Identical output for every job count: skeletons are dealt round-robin
     into one slice per worker, workers share nothing, and merging is exact
     integer arithmetic, so neither the split nor the merge order shows.
+    Raises CensusWorkerError if a worker process dies.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -172,12 +176,19 @@ def census(n: int, skeletons: Iterable[SkeletonRecord] | None = None,
     skeletons = list(skeletons)
     if jobs == 1 or len(skeletons) < 2 * jobs:
         return census_skeletons(n, skeletons)
+    # imported here: the pool machinery costs every CLI start, and only --jobs uses it
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     items = [(r.graph.code, r.labellings) for r in skeletons]
     slices = _slices(items, jobs)
     report = empty_report(n)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for part in pool.map(_census_slice, [n] * len(slices), slices):
-            report = merge(report, part)
+    try:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            for part in pool.map(_census_slice, [n] * len(slices), slices):
+                report = merge(report, part)
+    except BrokenProcessPool as exc:
+        raise CensusWorkerError(str(exc)) from exc
     return report
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures.process import BrokenProcessPool
 from itertools import groupby
 from math import comb
 from operator import attrgetter
@@ -17,6 +16,7 @@ from pathlib import Path
 
 from . import catalog, reference
 from .census import (
+    CensusWorkerError,
     SkeletonRecord,
     census,
     extrapolate_ratio,
@@ -231,7 +231,7 @@ def main(argv=None) -> int:
     except (ValueError, catalog.CatalogError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenProcessPool as exc:
+    except CensusWorkerError as exc:
         print(f"error: census worker died: {exc}", file=sys.stderr)
         return 2
 

@@ -32,6 +32,9 @@ def iter_pairs(n: int) -> Iterator[tuple[int, int]]:
             yield (i, j)
 
 
+_PAIRS = list(iter_pairs(MAX_VERTICES))  # indexed by bit position, the same for every n
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected graph as (vertex count, adjacency bit code)."""
@@ -58,7 +61,13 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """Edge list in ascending bit-position order."""
-        return [p for p in iter_pairs(self.n) if self.code >> pair_index(*p) & 1]
+        out = []
+        c = self.code
+        while c:
+            low = c & -c
+            out.append(_PAIRS[low.bit_length() - 1])
+            c ^= low
+        return out
 
 
 def empty_graph(n: int) -> Graph:

@@ -3,11 +3,12 @@
 Two acyclic digraphs on the same skeleton are Markov equivalent iff they
 induce the same immoralities, so the set of immoralities present, written
 as a bitset over the skeleton's ordered v-configuration list, is a unique
-class key.  Classifying a skeleton means enumerating its acyclic
-orientations and tallying orientations per key.  classify_skeleton
-builds each orientation from its source layers (the sources, then the
-sources of what is left, and so on), so acyclicity holds by construction
-and a vertex's immoralities are read off when its layer is placed.
+class key.  Classifying a skeleton means tallying its acyclic orientations
+per key.  classify_skeleton builds each orientation from its source layers
+(the sources, then the sources of what is left, and so on), so acyclicity
+holds by construction and a vertex's immoralities are read off when its
+layer is placed.  Partial orientations that reach the same state with the
+same partial code are merged and carried forward as one count.
 """
 
 from __future__ import annotations
@@ -64,9 +65,19 @@ def classify_skeleton(g: Graph) -> SkeletonClassTable:
     neighbour in S(i), and every edge points from its earlier layer to its
     later one; conversely each such sequence of layers covering all
     vertices is the layering of exactly one acyclic orientation, so no
-    reachability test is needed.  The walk recurses on (remaining
-    vertices, candidates = remaining & N(last layer)) and tries every
-    independent subset of the candidates as the next layer.
+    reachability test is needed.
+
+    What can follow a partial layering depends only on its state
+    (remaining vertices, candidates = remaining & N(last layer)), since the
+    placed vertices are the complement of the remaining ones.  So the walk
+    is one forward pass over states: each holds {partial code: orientation
+    count}, and states are taken in descending order of their remaining
+    mask, which is safe because a layer only removes vertices, so every
+    predecessor of a state has a larger mask and is finished first.  For
+    each state, every independent subset of its candidates is tried as the
+    next layer; the code bits that layer adds are computed once and ORed
+    into each of the state's partial codes as the counts are merged into
+    the child state.
 
     A v-configuration (a, b, c) is an immorality iff a and c are both
     placed before b, so placing b ORs in imm[b][placed & N(b)], a table
@@ -76,8 +87,8 @@ def classify_skeleton(g: Graph) -> SkeletonClassTable:
     vertex has no neighbour among the remaining vertices or in that layer,
     since nothing could be its parent.  When what remains after a layer is
     independent, it can only be the last layer, and the check above has
-    just made each of its vertices adjacent to the layer placed; that case
-    is tallied inline.  Recursion depth is at most n.
+    just made each of its vertices adjacent to the layer placed; those
+    codes are tallied at once instead of passing through a state.
     """
     n = g.n
     adj = adjacency_masks(g)
@@ -127,22 +138,34 @@ def classify_skeleton(g: Graph) -> SkeletonClassTable:
             s = (s - 1) & cand
         return out
 
-    def rec(remaining: int, placed: int, cand: int, code: int) -> None:
-        for s, ns, vs in layers.get(cand) or options(cand):
-            rest = remaining ^ s
-            if rest & ~(nbr[rest] | ns):
-                continue  # a vertex of rest has no neighbour left to be its parent
-            c = code
-            for nb, t in vs:
-                c |= t[placed & nb]
-            if indep[rest]:
-                c |= sink[rest]
-                counts[c] = counts.get(c, 0) + 1
-            elif rest & ns:
-                rec(rest, placed | s, rest & ns, c)
-
     full = size - 1
-    rec(full, 0, full, 0)
+    # states[remaining]: {candidates: {partial code: orientation count}}
+    states: list[dict[int, dict[int, int]]] = [{} for _ in range(size)]
+    states[full][full] = {0: 1}
+    for remaining in range(full, 0, -1):
+        placed = full ^ remaining
+        for cand, codes in states[remaining].items():
+            for s, ns, vs in layers.get(cand) or options(cand):
+                rest = remaining ^ s
+                if rest & ~(nbr[rest] | ns):
+                    continue  # a vertex of rest has no neighbour left to be its parent
+                add = 0
+                for nb, t in vs:
+                    add |= t[placed & nb]
+                if indep[rest]:
+                    add |= sink[rest]
+                    out = counts
+                elif rest & ns:
+                    child = states[rest]
+                    out = child.get(rest & ns)
+                    if out is None:
+                        out = child[rest & ns] = {}
+                else:
+                    continue
+                for c, k in codes.items():
+                    c |= add
+                    out[c] = out.get(c, 0) + k
+
     return SkeletonClassTable(
         classes={c: counts[c] for c in sorted(counts)},
         total_orientations=sum(counts.values()),

@@ -102,6 +102,14 @@ def test_cli_import_leaves_numpy_out():
     assert out.strip() == "False"
 
 
+def test_cli_import_leaves_process_pool_out():
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    probe = "import sys, mecensus.cli; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
 def test_census_from_catalogs_matches_regeneration(tmp_path, capsys):
     run(capsys, "generate", "--n", "4", "--graphs", str(tmp_path / "g"))
     a = tmp_path / "from_catalog.txt"

@@ -75,6 +75,17 @@ def test_encode_edges_round_trip_random_larger():
             assert encode(g.edges(), n).code == code
 
 
+def test_edges_in_ascending_bit_position_order():
+    # Orientation.direction bit r refers to the r-th edge of this list
+    rng = random.Random(11)
+    for n in (2, 5, 9, 12):
+        for _ in range(50):
+            g = Graph(n, rng.getrandbits(pair_count(n)))
+            want = [(i, j) for i, j in iter_pairs(n) if g.code >> pair_index(i, j) & 1]
+            assert g.edges() == want
+    assert complete_graph(12).edges() == list(iter_pairs(12))
+
+
 def test_complement_examples():
     assert complement(empty_graph(4)).code == 63
     assert complement(Graph(3, 6)).code == 1  # path -> single edge (1,2)

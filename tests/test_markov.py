@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -156,6 +157,19 @@ def test_classify_matches_streaming_reference():
                 assert table.classes == stream
                 assert list(table.classes) == list(stream)  # codes ascending
                 assert table.total_orientations == sum(stream.values())
+
+
+def test_n8_class_tables_sample_is_pinned():
+    # every 50th skeleton at n=8: code, classes in order, total
+    digest = hashlib.sha256()
+    skeletons = [g for layer in generate_all(8) for g in layer.graphs]
+    for g in skeletons[::50]:
+        table = classify_skeleton(g)
+        digest.update(repr((g.code, list(table.classes.items()),
+                            table.total_orientations)).encode())
+    # as the recursive source-layer walk that the state pass replaced gave it
+    assert digest.hexdigest() == (
+        "f7b1699d76b86f9acd11d1b52b420f82f1fd84b455a20f2c0e1eedd4a6f1a272")
 
 
 def cycle_graph(n: int) -> Graph:

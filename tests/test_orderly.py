@@ -1,12 +1,15 @@
 import itertools
 from collections import Counter
 
+import pytest
+
 from mecensus.graphs import (
     Graph,
     adjacency_masks,
     apply_permutation,
     complement,
     complete_graph,
+    encode,
     pair_count,
 )
 from mecensus.oracles import brute_force_unlabeled
@@ -108,6 +111,17 @@ def test_generate_all_matches_brute_force():
     for n in range(1, 7):
         ours = sorted(g.code for layer in generate_all(n) for g in layer.graphs)
         assert ours == brute_force_unlabeled(n)
+
+
+def test_generate_all_n7_matches_networkx_atlas():
+    # an outside source: the atlas lists every graph on up to 7 vertices
+    nx = pytest.importorskip("networkx")
+    atlas = [h for h in nx.graph_atlas_g() if h.number_of_nodes() == 7]
+    assert len(atlas) == 1044
+    theirs = sorted(canonicalize(encode((sorted((u + 1, v + 1)) for u, v in h.edges()), 7)).code
+                    for h in atlas)
+    ours = sorted(g.code for layer in generate_all(7) for g in layer.graphs)
+    assert theirs == ours
 
 
 def test_layers_strictly_descending():
