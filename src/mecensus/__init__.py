@@ -20,7 +20,6 @@ from .census import (
 from .graphs import Graph, apply_permutation, complement, degree_sequence, encode
 from .markov import (
     SkeletonClassTable,
-    class_code,
     classify_skeleton,
     find_v_configurations,
     max_vconfig_prediction,
@@ -33,7 +32,12 @@ from .orderly import (
     generate_all,
     is_canonical,
 )
-from .orientations import Orientation, count_acyclic_orientations, enumerate_acyclic_orientations
+from .oracles import (
+    Orientation,
+    class_code,
+    count_acyclic_orientations,
+    enumerate_acyclic_orientations,
+)
 from .automorphisms import automorphism_group_size, labelling_count
 
 __version__ = "0.1.0"

@@ -9,6 +9,7 @@ makes worker partitioning safe.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -163,8 +164,9 @@ def census(n: int, skeletons: Iterable[SkeletonRecord] | None = None,
     """Full (or edge-filtered) census for n vertices.
 
     Identical output for every job count: skeletons are dealt round-robin
-    into one slice per worker, workers share nothing, and merging is exact
-    integer arithmetic, so neither the split nor the merge order shows.
+    into jobs slices, run on at most one worker per usable CPU; workers
+    share nothing, and merging is exact integer arithmetic, so neither the
+    split nor the merge order shows.
     Raises CensusWorkerError if a worker process dies.
     """
     if jobs < 1:
@@ -184,7 +186,9 @@ def census(n: int, skeletons: Iterable[SkeletonRecord] | None = None,
     slices = _slices(items, jobs)
     report = empty_report(n)
     try:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the slices, and so the bytes, depend on jobs alone; more workers
+        # than usable CPUs only add processes
+        with ProcessPoolExecutor(max_workers=min(jobs, len(os.sched_getaffinity(0)))) as pool:
             for part in pool.map(_census_slice, [n] * len(slices), slices):
                 report = merge(report, part)
     except BrokenProcessPool as exc:
@@ -225,32 +229,28 @@ def _s_coefficient(k: int) -> float:
     return 2.0 + (20.0 / 3.0) * math.exp(-k / 2.0)
 
 
-def extrapolate_ratio(r_prev: float, r_cur: float, n_cur: int, n_target: int,
-                      s_offset: int = 1) -> float:
+def extrapolate_ratio(r_prev: float, r_cur: float, n_cur: int, n_target: int) -> float:
     """Iterate r_{k+1} = r_k - (r_{k-1} - r_k) / s up to n_target.
 
     The damping uses s_k = 2 + 20/3 exp(-k/2); the step producing r_{k+1}
-    reads s at k + s_offset (the index convention is not pinned down, both
-    choices land within the accepted tolerance).
+    reads s at k + 1.
     """
     if not 0 < r_cur <= r_prev:
         raise ValueError("need 0 < r_cur <= r_prev")
     if n_target < n_cur:
         raise ValueError("target below current index")
-    if s_offset not in (0, 1):
-        raise ValueError("s_offset must be 0 or 1")
     prev, cur = float(r_prev), float(r_cur)
     for k in range(n_cur, n_target):
-        prev, cur = cur, cur - (prev - cur) / _s_coefficient(k + s_offset)
+        prev, cur = cur, cur - (prev - cur) / _s_coefficient(k + 1)
     return cur
 
 
-def ratio_asymptote(r_prev: float, r_cur: float, n_cur: int, s_offset: int = 1) -> float:
+def ratio_asymptote(r_prev: float, r_cur: float, n_cur: int) -> float:
     """Limit of the extrapolated sequence (converged to double precision)."""
     prev, cur = float(r_prev), float(r_cur)
     k = n_cur
     while prev != cur and k < n_cur + 10_000:
-        prev, cur = cur, cur - (prev - cur) / _s_coefficient(k + s_offset)
+        prev, cur = cur, cur - (prev - cur) / _s_coefficient(k + 1)
         k += 1
     return cur
 
@@ -262,21 +262,18 @@ def gaussian_chi2(by_edges: Sequence[int]) -> float:
     and variance is sampled at the integer bins and renormalized; bins with
     model mass below 1e-12 are dropped from the sum.
     """
-    import numpy as np  # only this function needs it; keeps it off the CLI's import path
-
-    v = np.asarray(by_edges, dtype=np.float64)
-    if v.min() < 0:
+    v = [float(x) for x in by_edges]
+    if min(v) < 0:
         raise ValueError("negative bin count")
-    total = v.sum()
+    total = math.fsum(v)
     if total <= 0:
         raise ValueError("empty distribution")
-    p = v / total
-    e = np.arange(len(v), dtype=np.float64)
-    mean = float((e * p).sum())
-    var = float((((e - mean) ** 2) * p).sum())
+    p = [x / total for x in v]
+    mean = math.fsum(e * pe for e, pe in enumerate(p))
+    var = math.fsum((e - mean) ** 2 * pe for e, pe in enumerate(p))
     if var == 0.0:
         raise ValueError("degenerate single-bin distribution")
-    q = np.exp(-((e - mean) ** 2) / (2.0 * var))
-    q /= q.sum()
-    keep = q > 1e-12
-    return float((((p - q) ** 2 / q)[keep]).sum())
+    q = [math.exp(-((e - mean) ** 2) / (2.0 * var)) for e in range(len(p))]
+    qsum = math.fsum(q)
+    q = [x / qsum for x in q]
+    return math.fsum((pe - qe) ** 2 / qe for pe, qe in zip(p, q) if qe > 1e-12)

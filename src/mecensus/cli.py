@@ -14,7 +14,7 @@ from math import comb
 from operator import attrgetter
 from pathlib import Path
 
-from . import catalog, reference
+from . import catalog, oracles, reference
 from .census import (
     CensusWorkerError,
     SkeletonRecord,
@@ -90,8 +90,6 @@ def cmd_census(args) -> int:
 
 def _verify_checks(n: int):
     """Yield (name, ok, detail) for every oracle applicable at this n."""
-    from . import oracles  # brings numpy; only verify needs it
-
     layers = {e: list(recs) for e, recs in
               groupby(iter_skeletons(n), key=attrgetter("graph.edge_count"))}
     records = [rec for e in sorted(layers) for rec in layers[e]]
@@ -201,7 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="run a census and emit a report")
     p.add_argument("--n", type=int, required=True, choices=range(1, MAX_VERTICES + 1))
     p.add_argument("--edges", help="restrict to an edge count or range")
-    p.add_argument("--jobs", type=int, default=1, help="worker process count")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="slice count; at most one worker process per usable CPU")
     p.add_argument("--graphs", help="catalog directory to load instead of regenerating")
     p.add_argument("--out", help="report file path (default: print to stdout)")
     p.add_argument("--format", choices=("report", "csv"), default="report",

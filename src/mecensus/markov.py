@@ -8,7 +8,9 @@ per key.  classify_skeleton builds each orientation from its source layers
 (the sources, then the sources of what is left, and so on), so acyclicity
 holds by construction and a vertex's immoralities are read off when its
 layer is placed.  Partial orientations that reach the same state with the
-same partial code are merged and carried forward as one count.
+same partial code are merged and carried forward as one count.  The
+reference it is tested against, oracles.class_code over the streamed
+orientations, keys each orientation arc by arc instead.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import Graph, adjacency_masks
-from .orientations import Orientation
 
 
 def find_v_configurations(g: Graph) -> list[tuple[int, int, int]]:
@@ -36,16 +37,6 @@ def find_v_configurations(g: Graph) -> list[tuple[int, int, int]]:
                 if not adj[a - 1] >> (c - 1) & 1:
                     out.append((a, b, c))
     return out
-
-
-def class_code(o: Orientation, vconfigs: list[tuple[int, int, int]]) -> int:
-    """Bit i set iff vconfigs[i] is oriented as an immorality (a->b<-c)."""
-    arcs = set(o.directed_edges())
-    code = 0
-    for i, (a, b, c) in enumerate(vconfigs):
-        if (a, b) in arcs and (c, b) in arcs:
-            code |= 1 << i
-    return code
 
 
 @dataclass

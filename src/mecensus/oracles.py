@@ -2,19 +2,20 @@
 
 Everything here is deliberately naive and shares nothing with the main
 pipeline beyond the graph coding: digraphs are enumerated pair by pair,
-canonical forms are taken over all n! permutations at once, and acyclic
-orientation counts come from the chromatic polynomial.  Disagreement with
-the pipeline fails the build.
+canonical forms are taken over all n! permutations, acyclic orientations
+are streamed one edge direction at a time and keyed by their immoralities
+arc by arc, and acyclic orientation counts come from the chromatic
+polynomial.  Disagreement with the pipeline fails the build.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Iterator
 
-import numpy as np
-
-from .graphs import Graph, iter_pairs, pair_count, pair_index
+from .graphs import Graph, apply_permutation, iter_pairs, pair_index
 
 
 @dataclass
@@ -87,25 +88,109 @@ def _has_cycle(n: int, parents: list[list[int]]) -> bool:
 def brute_force_unlabeled(n: int) -> list[int]:
     """Canonical codes of all unlabeled graphs on n vertices, ascending.
 
-    Vectorized over the full labeled space: every permutation is applied
-    to every one of the 2^m codes and the maximum is kept.
+    Orbit marking over the full labeled space: each code not yet marked
+    starts a new orbit, every one of the n! relabellings of it is marked,
+    and the largest image is the orbit's canonical code.
     """
     if not 1 <= n <= 6:
         raise ValueError("brute-force unlabeled enumeration supported for 1 <= n <= 6 only")
-    m = pair_count(n)
     pairs = list(iter_pairs(n))
-    codes = np.arange(1 << m, dtype=np.int64)
-    bits = (codes[:, None] >> np.arange(m, dtype=np.int64)) & 1
-    best = np.zeros(1 << m, dtype=np.int64)
-    for perm in itertools.permutations(range(1, n + 1)):
-        newpos = np.empty(m, dtype=np.int64)
-        for k, (i, j) in enumerate(pairs):
-            a, b = perm[i - 1], perm[j - 1]
-            if a > b:
-                a, b = b, a
-            newpos[k] = pair_index(a, b)
-        np.maximum(best, bits @ (np.int64(1) << newpos), out=best)
-    return [int(c) for c in np.unique(best)]
+    # per relabelling, the bit each pair's bit moves to
+    moves = [[1 << pair_index(*sorted((p[i - 1], p[j - 1]))) for i, j in pairs]
+             for p in itertools.permutations(range(1, n + 1))]
+    marked = bytearray(1 << len(pairs))
+    out = []
+    for code in range(len(marked)):
+        if not marked[code]:
+            present = [k for k in range(len(pairs)) if code >> k & 1]
+            images = [sum(move[k] for k in present) for move in moves]
+            for image in images:
+                marked[image] = 1
+            out.append(max(images))
+    return sorted(out)
+
+
+def is_canonical_exhaustive(g: Graph) -> bool:
+    """True iff none of the n! relabellings of g yields a strictly larger code."""
+    return all(apply_permutation(g, perm).code <= g.code
+               for perm in itertools.permutations(range(1, g.n + 1)))
+
+
+@lru_cache(maxsize=1)
+def _edges(g: Graph) -> tuple[tuple[int, int], ...]:
+    # orientations of one skeleton arrive together, so one entry suffices
+    return tuple(g.edges())
+
+
+@dataclass(frozen=True)
+class Orientation:
+    """A direction for every skeleton edge, acyclic by construction.
+
+    Bit r of direction refers to the r-th edge of skeleton.edges() and is
+    1 when the edge points from its lower to its higher endpoint.
+    """
+
+    skeleton: Graph
+    direction: int
+
+    def directed_edges(self) -> list[tuple[int, int]]:
+        out = []
+        for r, (i, j) in enumerate(_edges(self.skeleton)):
+            out.append((i, j) if self.direction >> r & 1 else (j, i))
+        return out
+
+
+def enumerate_acyclic_orientations(g: Graph) -> Iterator[Orientation]:
+    """Every acyclic orientation of g exactly once, deterministic order.
+
+    Depth-first over the edges from most to least significant, trying
+    low-to-high before high-to-low; a direction u->v is pruned as soon as
+    v already reaches u through the edges directed so far.
+    """
+    edges = g.edges()
+    E = len(edges)
+    n = g.n
+    reach = [1 << v for v in range(n)]
+
+    def rec(k: int, mask: int) -> Iterator[Orientation]:
+        if k < 0:
+            yield Orientation(skeleton=g, direction=mask)
+            return
+        i, j = edges[k]
+        for bit in (1, 0):
+            u, v = (i - 1, j - 1) if bit else (j - 1, i - 1)
+            if reach[v] >> u & 1:
+                continue
+            saved = reach.copy()
+            mv = reach[v]
+            for w in range(n):
+                if reach[w] >> u & 1:
+                    reach[w] |= mv
+            yield from rec(k - 1, mask | (bit << k))
+            reach[:] = saved
+
+    return rec(E - 1, 0)
+
+
+def count_acyclic_orientations(g: Graph) -> int:
+    """Length of the orientation stream."""
+    return sum(1 for _ in enumerate_acyclic_orientations(g))
+
+
+def class_code(o: Orientation, vconfigs: list[tuple[int, int, int]]) -> int:
+    """Bit i set iff vconfigs[i] is oriented as an immorality (a->b<-c)."""
+    parents = [0] * (o.skeleton.n + 1)  # per vertex: bit u set iff u -> vertex
+    d = o.direction
+    for r, (i, j) in enumerate(_edges(o.skeleton)):
+        if d >> r & 1:
+            parents[j] |= 1 << i
+        else:
+            parents[i] |= 1 << j
+    code = 0
+    for k, (a, b, c) in enumerate(vconfigs):
+        if parents[b] >> a & 1 and parents[b] >> c & 1:
+            code |= 1 << k
+    return code
 
 
 def chromatic_polynomial_at(g: Graph, x: int) -> int:

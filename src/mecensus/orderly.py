@@ -25,14 +25,12 @@ their number is |Aut|.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
 from .graphs import (
     Graph,
     adjacency_masks,
-    apply_permutation,
     complement,
     iter_pairs,
     pair_count,
@@ -108,15 +106,8 @@ def canonical_search(n: int, adj: list[int], target: int = -1) -> tuple[int, int
     return code, sum(states.values())
 
 
-def is_canonical(g: Graph, exhaustive: bool = False) -> bool:
-    """True iff no relabelling yields a strictly larger code.
-
-    exhaustive=True compares against every one of the n! permutations
-    instead of running the search.
-    """
-    if exhaustive:
-        return all(apply_permutation(g, perm).code <= g.code
-                   for perm in itertools.permutations(range(1, g.n + 1)))
+def is_canonical(g: Graph) -> bool:
+    """True iff no relabelling yields a strictly larger code."""
     return canonical_search(g.n, adjacency_masks(g), g.code)[0] == g.code
 
 

@@ -102,6 +102,21 @@ def test_cli_import_leaves_numpy_out():
     assert out.strip() == "False"
 
 
+def test_verify_and_chi2_run_without_numpy():
+    # numpy blocked outright: every oracle and the Gaussian statistic must
+    # still run, so the package has no runtime dependency
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    probe = ("import sys; sys.modules['numpy'] = None\n"
+             "from mecensus import Graph, census, cli, gaussian_chi2, oracles\n"
+             "assert cli.main(['verify', '--n', '4']) == 0\n"
+             "assert oracles.is_canonical_exhaustive(Graph(4, 63))\n"
+             "print(gaussian_chi2(census(5).classes_by_edges))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert "all checks passed for n=4" in done.stdout
+
+
 def test_cli_import_leaves_process_pool_out():
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     probe = "import sys, mecensus.cli; print('concurrent.futures.process' in sys.modules)"

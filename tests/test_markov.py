@@ -4,14 +4,9 @@ import itertools
 import pytest
 
 from mecensus.graphs import Graph, complete_graph, encode
-from mecensus.markov import (
-    class_code,
-    classify_skeleton,
-    find_v_configurations,
-    max_vconfig_prediction,
-)
+from mecensus.markov import classify_skeleton, find_v_configurations, max_vconfig_prediction
+from mecensus.oracles import class_code, enumerate_acyclic_orientations
 from mecensus.orderly import canonicalize, generate_all
-from mecensus.orientations import enumerate_acyclic_orientations
 
 
 def path_graph(n: int) -> Graph:

@@ -47,8 +47,7 @@ def test_brute_force_unlabeled_counts():
 
 
 def test_brute_force_unlabeled_codes_are_reachable():
-    # every returned code is the maximum over its own orbit, so feeding it
-    # back through the vectorized pass must leave it unchanged
+    # every returned code is the maximum over its own orbit
     codes = set(brute_force_unlabeled(4))
     assert all(0 <= c < 64 for c in codes)
     assert 63 in codes and 0 in codes

@@ -12,7 +12,7 @@ from mecensus.graphs import (
     encode,
     pair_count,
 )
-from mecensus.oracles import brute_force_unlabeled
+from mecensus.oracles import brute_force_unlabeled, is_canonical_exhaustive
 from mecensus.orderly import (
     augment_children,
     canonical_search,
@@ -46,7 +46,7 @@ def test_canonical_search_stops_at_first_differing_column():
     # 0x7206 (edges 13,23,45,36,46,56) is canonical at n=6 although vertex
     # 5 has a larger degree than the top vertex's other neighbours
     g = Graph(6, 0x7206)
-    assert is_canonical(g, exhaustive=True)
+    assert is_canonical_exhaustive(g)
     assert canonical_search(6, adjacency_masks(g), g.code) == (g.code, 4)
     # the edge 12 beside an isolated vertex 3: column 3 reads 00 where 10
     # is reachable, so the search stops there with |Aut| unset
@@ -70,7 +70,7 @@ def test_is_canonical_matches_exhaustive_search():
             g = Graph(n, code)
             want = brute_max_code(g) == code
             assert is_canonical(g) == want
-            assert is_canonical(g, exhaustive=True) == want
+            assert is_canonical_exhaustive(g) == want
 
 
 def test_eleven_canonical_graphs_for_n4():
@@ -136,7 +136,7 @@ def test_every_generated_graph_is_canonical():
     for n in (5, 6):
         for layer in generate_all(n):
             for g in layer.graphs:
-                assert is_canonical(g, exhaustive=True)
+                assert is_canonical_exhaustive(g)
 
 
 def test_orderly_unique_parent_property():

@@ -2,9 +2,12 @@ import itertools
 from math import factorial
 
 from mecensus.graphs import Graph, complete_graph, empty_graph, encode
-from mecensus.oracles import chromatic_polynomial_at
+from mecensus.oracles import (
+    chromatic_polynomial_at,
+    count_acyclic_orientations,
+    enumerate_acyclic_orientations,
+)
 from mecensus.orderly import generate_all
-from mecensus.orientations import count_acyclic_orientations, enumerate_acyclic_orientations
 
 
 def has_directed_cycle(n: int, arcs: list[tuple[int, int]]) -> bool:
