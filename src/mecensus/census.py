@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -121,10 +122,10 @@ def census_skeletons(n: int, records: Iterable[SkeletonRecord]) -> CensusReport:
         nclasses = len(table.classes)
         cbe[e] += L * nclasses
         abe[e] += L * table.total_orientations
-        for size in table.classes.values():
-            hist[size] = hist.get(size, 0) + L
+        for size, cnt in Counter(table.classes.values()).items():
+            hist[size] = hist.get(size, 0) + L * cnt
             key = (e, size)
-            joint[key] = joint.get(key, 0) + L
+            joint[key] = joint.get(key, 0) + L * cnt
         vcount = len(find_v_configurations(g))
         _track_max(report, "max_vconfigs", "max_vconfig_codes", vcount, g.code)
         _track_max(report, "max_classes_per_skeleton", "max_class_codes", nclasses, g.code)

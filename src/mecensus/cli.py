@@ -71,6 +71,11 @@ def _load_or_generate(n: int, graphs_dir: str | None,
 
 
 def cmd_census(args) -> int:
+    if args.size_cap is not None:
+        if args.size_cap < 1:
+            raise ValueError(f"--size-cap must be at least 1, got {args.size_cap}")
+        if args.format != "csv":
+            raise ValueError("--size-cap applies to the CSV tables; add --format csv")
     m = pair_count(args.n)
     edges = _parse_edges(args.edges, m) if args.edges else None
     records = _load_or_generate(args.n, args.graphs, edges)

@@ -110,11 +110,12 @@ def adjacency_masks(g: Graph) -> list[int]:
     """Per-vertex neighbor bitmask, bit v-1 set iff v adjacent; index by vertex - 1."""
     masks = [0] * g.n
     c = g.code
-    for i, j in iter_pairs(g.n):
-        if c & 1:
-            masks[i - 1] |= 1 << (j - 1)
-            masks[j - 1] |= 1 << (i - 1)
-        c >>= 1
+    while c:
+        low = c & -c
+        i, j = _PAIRS[low.bit_length() - 1]
+        masks[i - 1] |= 1 << (j - 1)
+        masks[j - 1] |= 1 << (i - 1)
+        c ^= low
     return masks
 
 

@@ -161,13 +161,16 @@ def enumerate_acyclic_orientations(g: Graph) -> Iterator[Orientation]:
             u, v = (i - 1, j - 1) if bit else (j - 1, i - 1)
             if reach[v] >> u & 1:
                 continue
-            saved = reach.copy()
             mv = reach[v]
+            undo = []  # (w, reach[w] before u->v) for every entry the arc widens
             for w in range(n):
-                if reach[w] >> u & 1:
-                    reach[w] |= mv
+                rw = reach[w]
+                if rw >> u & 1 and rw | mv != rw:
+                    undo.append((w, rw))
+                    reach[w] = rw | mv
             yield from rec(k - 1, mask | (bit << k))
-            reach[:] = saved
+            for w, rw in undo:
+                reach[w] = rw
 
     return rec(E - 1, 0)
 

@@ -181,6 +181,28 @@ def test_census_csv_sidecars(tmp_path, capsys):
     assert (tmp_path / "rep.txt.joint.csv").exists()
 
 
+def test_census_rejects_size_cap_below_one(tmp_path, capsys):
+    for cap in ("0", "-1"):
+        out = tmp_path / f"cap{cap}.txt"
+        code, _, err = run(capsys, "census", "--n", "3", "--out", str(out),
+                           "--format", "csv", "--size-cap", cap)
+        assert code == 2
+        assert err.startswith("error:") and "--size-cap" in err
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_census_rejects_size_cap_without_csv(tmp_path, capsys):
+    code, stdout, err = run(capsys, "census", "--n", "3", "--size-cap", "2")
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error:") and "--format csv" in err
+    code, _, err = run(capsys, "census", "--n", "3", "--out", str(tmp_path / "r.txt"),
+                       "--size-cap", "2")
+    assert code == 2
+    assert err.startswith("error:")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_census_rejects_corrupt_catalog(tmp_path, capsys):
     run(capsys, "generate", "--n", "3", "--graphs", str(tmp_path))
     victim = catalog_path(tmp_path, 3, 1)

@@ -195,6 +195,27 @@ def test_disconnected_graphs_match_streaming_reference():
         assert list(table.classes) == list(stream)
 
 
+def test_stranded_vertices_and_two_vertex_tails_match_streaming_reference():
+    # a layer strands a vertex whose neighbours are all placed while an edge
+    # is still left, and many walks end on a single edge; 8-12 vertices
+    matching = encode({(2 * i - 1, 2 * i) for i in range(1, 7)}, 12)
+    cases = [
+        star_graph(9),  # K_{1,9}
+        encode({(1, 2), (2, 3), (3, 4), (1, 5), (2, 6), (2, 7), (3, 8), (4, 9), (4, 10)},
+               10),  # caterpillar
+        matching,
+        encode({(1, 2), (2, 3), (4, 5), (5, 6), (7, 8), (8, 9)}, 9),  # three P3s
+        encode({(1, 2), (2, 3), (1, 4), (4, 5), (1, 6), (6, 7), (1, 8), (8, 9)}, 9),  # spider
+    ]
+    for g in cases:
+        table = classify_skeleton(g)
+        stream = streamed_classes(g)
+        assert table.classes == stream
+        assert list(table.classes) == list(stream)
+        assert table.total_orientations == sum(stream.values())
+    assert classify_skeleton(matching).classes == {0: 2 ** 6}
+
+
 def test_complete_bipartite_matches_streaming_reference():
     for a, b in ((3, 3), (2, 5)):
         g = complete_bipartite(a, b)
