@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .census import CensusReport, SkeletonRecord
-from .graphs import Graph, pair_count
+from .graphs import MAX_VERTICES, Graph, pair_count
 
 FORMAT_VERSION = 1
 
@@ -52,9 +52,10 @@ def write_catalog(path: Path | str, n: int, e: int,
 def read_catalog(path: Path | str) -> tuple[int, int, list[SkeletonRecord]]:
     """Parse and validate one layer file.
 
-    Structural checks only (header, counts, descending codes, edge counts,
-    and labellings summing to the C(m, e) labelled graphs of the layer);
-    canonicity of the codes is not re-proved here.
+    Structural checks only (header and its n and e ranges, two fields per
+    record, counts, descending codes, edge counts, and labellings summing
+    to the C(m, e) labelled graphs of the layer); canonicity of the codes
+    is not re-proved here.
     """
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
@@ -72,26 +73,30 @@ def read_catalog(path: Path | str) -> tuple[int, int, list[SkeletonRecord]]:
         count = int(head[4][6:])
     except ValueError:
         raise CatalogError(f"{path}: bad header {lines[0]!r}") from None
+    if not 1 <= n <= MAX_VERTICES:
+        raise CatalogError(f"{path}: vertex count {n} outside 1..{MAX_VERTICES}")
+    if not 0 <= e <= pair_count(n):
+        raise CatalogError(f"{path}: edge count {e} outside 0..{pair_count(n)}")
     body = [ln for ln in lines[1:] if ln]
     if len(body) != count:
         raise CatalogError(f"{path}: header promises {count} records, found {len(body)}")
     records = []
     prev_code = None
     for ln in body:
-        parts = ln.split()
         try:
-            code = int(parts[0], 16)
-            lab = int(parts[1])
-        except (IndexError, ValueError):
+            code_hex, lab_text = ln.split()
+            code = int(code_hex, 16)
+            lab = int(lab_text)
+        except ValueError:
             raise CatalogError(f"{path}: bad record {ln!r}") from None
-        if code >= 1 << pair_count(n):
-            raise CatalogError(f"{path}: code {parts[0]} out of range for n={n}")
+        if not 0 <= code < 1 << pair_count(n):
+            raise CatalogError(f"{path}: code {code_hex} out of range for n={n}")
         if code.bit_count() != e:
-            raise CatalogError(f"{path}: code {parts[0]} has {code.bit_count()} edges, not {e}")
+            raise CatalogError(f"{path}: code {code_hex} has {code.bit_count()} edges, not {e}")
         if lab < 1:
             raise CatalogError(f"{path}: nonpositive labelling count in {ln!r}")
         if prev_code is not None and code >= prev_code:
-            raise CatalogError(f"{path}: codes not strictly descending at {parts[0]}")
+            raise CatalogError(f"{path}: codes not strictly descending at {code_hex}")
         prev_code = code
         records.append(SkeletonRecord(graph=Graph(n, code), labellings=lab))
     labelled = sum(r.labellings for r in records)

@@ -1,9 +1,9 @@
 """Per-n census aggregation and the analytic companions.
 
-A census walks every canonical skeleton once, classifies it, and scales
-each per-skeleton result by the skeleton's labelled-copy count.  Partial
-reports over disjoint skeleton sets merge commutatively, which is what
-makes worker partitioning safe.
+A census walks each canonical skeleton once, classifies it, and counts
+its classes per (edge count, class size), scaled by the skeleton's
+labelled-copy count.  Partial reports over disjoint skeleton sets merge
+commutatively, which is what makes worker partitioning safe.
 """
 
 from __future__ import annotations
@@ -36,10 +36,13 @@ class SkeletonRecord:
 
 @dataclass
 class CensusReport:
+    """Classes per (edge count, class size), plus the per-skeleton maxima.
+
+    `joint` is the only class table stored; the by-edge lists and the size
+    histogram are views summed from it, so they cannot drift apart.
+    """
+
     n: int
-    classes_by_edges: list[int]
-    adgs_by_edges: list[int]
-    size_histogram: dict[int, int] = field(default_factory=dict)
     joint: dict[tuple[int, int], int] = field(default_factory=dict)  # (edges, size) -> classes
     max_vconfigs: int = 0
     max_vconfig_codes: list[int] = field(default_factory=list)
@@ -47,12 +50,34 @@ class CensusReport:
     max_class_codes: list[int] = field(default_factory=list)
 
     @property
+    def classes_by_edges(self) -> list[int]:
+        out = [0] * (pair_count(self.n) + 1)
+        for (e, _), cnt in self.joint.items():
+            out[e] += cnt
+        return out
+
+    @property
+    def adgs_by_edges(self) -> list[int]:
+        # a class of size s holds s ADGs
+        out = [0] * (pair_count(self.n) + 1)
+        for (e, size), cnt in self.joint.items():
+            out[e] += size * cnt
+        return out
+
+    @property
+    def size_histogram(self) -> dict[int, int]:
+        hist = Counter()
+        for (_, size), cnt in self.joint.items():
+            hist[size] += cnt
+        return dict(sorted(hist.items()))
+
+    @property
     def total_classes(self) -> int:
-        return sum(self.classes_by_edges)
+        return sum(self.joint.values())
 
     @property
     def total_adgs(self) -> int:
-        return sum(self.adgs_by_edges)
+        return sum(size * cnt for (_, size), cnt in self.joint.items())
 
     @property
     def ratio(self) -> Fraction:
@@ -63,39 +88,27 @@ class CensusReport:
         return Fraction(self.size_histogram.get(1, 0), self.total_classes)
 
 
-def empty_report(n: int) -> CensusReport:
-    m = pair_count(n)
-    return CensusReport(n=n, classes_by_edges=[0] * (m + 1), adgs_by_edges=[0] * (m + 1))
-
-
 def merge(a: CensusReport, b: CensusReport) -> CensusReport:
     """Combine reports over disjoint skeleton sets; commutative, associative."""
     if a.n != b.n:
         raise ValueError(f"cannot merge censuses for n={a.n} and n={b.n}")
-    out = empty_report(a.n)
-    out.classes_by_edges = [x + y for x, y in zip(a.classes_by_edges, b.classes_by_edges)]
-    out.adgs_by_edges = [x + y for x, y in zip(a.adgs_by_edges, b.adgs_by_edges)]
-    for src in (a, b):
-        for size, cnt in src.size_histogram.items():
-            out.size_histogram[size] = out.size_histogram.get(size, 0) + cnt
-        for key, cnt in src.joint.items():
-            out.joint[key] = out.joint.get(key, 0) + cnt
-    out.max_vconfigs, out.max_vconfig_codes = _merge_max(
-        (a.max_vconfigs, a.max_vconfig_codes), (b.max_vconfigs, b.max_vconfig_codes))
-    out.max_classes_per_skeleton, out.max_class_codes = _merge_max(
-        (a.max_classes_per_skeleton, a.max_class_codes),
-        (b.max_classes_per_skeleton, b.max_class_codes))
-    out.size_histogram = dict(sorted(out.size_histogram.items()))
-    out.joint = dict(sorted(out.joint.items()))
-    return out
+    return _report(a.n, Counter(a.joint) + Counter(b.joint),
+                   [(r.max_vconfigs, c) for r in (a, b) for c in r.max_vconfig_codes],
+                   [(r.max_classes_per_skeleton, c) for r in (a, b) for c in r.max_class_codes])
 
 
-def _merge_max(a: tuple[int, list[int]], b: tuple[int, list[int]]) -> tuple[int, list[int]]:
-    if a[0] > b[0]:
-        return a[0], sorted(a[1])
-    if b[0] > a[0]:
-        return b[0], sorted(b[1])
-    return a[0], sorted(set(a[1]) | set(b[1]))
+def _maximum(pairs: list[tuple[int, int]]) -> tuple[int, list[int]]:
+    """(largest value, ascending distinct codes reaching it) of (value, code) pairs."""
+    top = max((v for v, _ in pairs), default=0)
+    return top, sorted({c for v, c in pairs if v == top})
+
+
+def _report(n: int, joint: Counter, vconfigs: list[tuple[int, int]],
+            classes: list[tuple[int, int]]) -> CensusReport:
+    """A report from its joint table and the (value, code) pairs of each maximum."""
+    vmax, vcodes = _maximum(vconfigs)
+    cmax, ccodes = _maximum(classes)
+    return CensusReport(n, dict(sorted(joint.items())), vmax, vcodes, cmax, ccodes)
 
 
 def iter_skeletons(n: int, edges: tuple[int, int] | None = None) -> Iterable[SkeletonRecord]:
@@ -109,40 +122,16 @@ def iter_skeletons(n: int, edges: tuple[int, int] | None = None) -> Iterable[Ske
 
 def census_skeletons(n: int, records: Iterable[SkeletonRecord]) -> CensusReport:
     """Census of an explicit skeleton subset (the parallel work unit)."""
-    report = empty_report(n)
-    cbe = report.classes_by_edges
-    abe = report.adgs_by_edges
-    hist = report.size_histogram
-    joint = report.joint
+    joint = Counter()
+    vconfigs, classes = [], []
     for rec in records:
         g = rec.graph
-        L = rec.labellings
-        e = g.edge_count
         table = classify_skeleton(g)
-        nclasses = len(table.classes)
-        cbe[e] += L * nclasses
-        abe[e] += L * table.total_orientations
         for size, cnt in Counter(table.classes.values()).items():
-            hist[size] = hist.get(size, 0) + L * cnt
-            key = (e, size)
-            joint[key] = joint.get(key, 0) + L * cnt
-        vcount = len(find_v_configurations(g))
-        _track_max(report, "max_vconfigs", "max_vconfig_codes", vcount, g.code)
-        _track_max(report, "max_classes_per_skeleton", "max_class_codes", nclasses, g.code)
-    report.size_histogram = dict(sorted(hist.items()))
-    report.joint = dict(sorted(joint.items()))
-    report.max_vconfig_codes.sort()
-    report.max_class_codes.sort()
-    return report
-
-
-def _track_max(report: CensusReport, attr: str, codes_attr: str, value: int, code: int) -> None:
-    cur = getattr(report, attr)
-    if value > cur:
-        setattr(report, attr, value)
-        setattr(report, codes_attr, [code])
-    elif value == cur:
-        getattr(report, codes_attr).append(code)
+            joint[g.edge_count, size] += rec.labellings * cnt
+        vconfigs.append((len(find_v_configurations(g)), g.code))
+        classes.append((len(table.classes), g.code))
+    return _report(n, joint, vconfigs, classes)
 
 
 def _census_slice(n: int, items: list[tuple[int, int]]) -> CensusReport:
@@ -161,21 +150,20 @@ def _slices(items: list, jobs: int) -> list[list]:
 
 
 def census(n: int, skeletons: Iterable[SkeletonRecord] | None = None,
-           edges: tuple[int, int] | None = None, jobs: int = 1) -> CensusReport:
-    """Full (or edge-filtered) census for n vertices.
+           jobs: int = 1) -> CensusReport:
+    """Census for n vertices over `skeletons`, every skeleton by default.
 
-    Identical output for every job count: skeletons are dealt round-robin
-    into jobs slices, run on at most one worker per usable CPU; workers
-    share nothing, and merging is exact integer arithmetic, so neither the
-    split nor the merge order shows.
+    An edge slice is census(n, iter_skeletons(n, edges)).  Identical output
+    for every job count: skeletons are dealt round-robin into jobs slices,
+    run on at most one worker per usable CPU; workers share nothing, and
+    merging is exact integer arithmetic, so neither the split nor the merge
+    order shows.
     Raises CensusWorkerError if a worker process dies.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     if skeletons is None:
-        skeletons = iter_skeletons(n, edges)
-    elif edges is not None:
-        skeletons = (r for r in skeletons if edges[0] <= r.graph.edge_count <= edges[1])
+        skeletons = iter_skeletons(n)
     skeletons = list(skeletons)
     if jobs == 1 or len(skeletons) < 2 * jobs:
         return census_skeletons(n, skeletons)
@@ -185,7 +173,7 @@ def census(n: int, skeletons: Iterable[SkeletonRecord] | None = None,
 
     items = [(r.graph.code, r.labellings) for r in skeletons]
     slices = _slices(items, jobs)
-    report = empty_report(n)
+    report = CensusReport(n)
     try:
         # the slices, and so the bytes, depend on jobs alone; more workers
         # than usable CPUs only add processes

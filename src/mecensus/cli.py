@@ -76,10 +76,14 @@ def cmd_census(args) -> int:
             raise ValueError(f"--size-cap must be at least 1, got {args.size_cap}")
         if args.format != "csv":
             raise ValueError("--size-cap applies to the CSV tables; add --format csv")
+    if args.format == "csv" and not args.out:
+        raise ValueError("--format csv needs --out to place the sidecar files")
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     m = pair_count(args.n)
     edges = _parse_edges(args.edges, m) if args.edges else None
     records = _load_or_generate(args.n, args.graphs, edges)
-    report = census(args.n, skeletons=records, edges=edges, jobs=args.jobs)
+    report = census(args.n, skeletons=records, jobs=args.jobs)
     if args.out:
         catalog.write_report(args.out, report, edges)
         if args.format == "csv":
@@ -87,8 +91,6 @@ def cmd_census(args) -> int:
                 print(f"wrote {p}")
         print(f"wrote {args.out}")
     else:
-        if args.format == "csv":
-            raise ValueError("--format csv needs --out to place the sidecar files")
         print("\n".join(catalog.report_lines(report, edges)))
     return 0
 

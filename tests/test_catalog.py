@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from mecensus.catalog import (
@@ -10,6 +12,16 @@ from mecensus.catalog import (
     write_report,
 )
 from mecensus.census import census, iter_skeletons
+
+# SHA-256 of the n=6 sidecars (by_edges, by_size, joint), per --size-cap
+SIDECARS_N6_SHA256 = {
+    None: ("969f99b684464ddf7c4271fa9c1147dac2a802c7a4c392e72003573f3e3c2dcd",
+           "9103b6666ef9b6e34fa9a6346288f5b7f827fefcd897783aceb5e7caadd8ee99",
+           "703a12c2c26d8d21abaeed0b89a19afcb68ce428eaf6ed08aef899d4ccf37417"),
+    24: ("969f99b684464ddf7c4271fa9c1147dac2a802c7a4c392e72003573f3e3c2dcd",
+         "9bb30e93ee4c2c9be6af07c3aee1104dbc1a74f2e6d6162b9ddb5443cc5d67c7",
+         "8d678b7f5ae963a0a9734c74fe05b0f6b1891822fb6ff885ebdb2904ac4a767e"),
+}
 
 
 def layer_records(n, e):
@@ -63,6 +75,19 @@ def test_catalog_rejects_unsorted_codes(tmp_path):
         read_catalog(p)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("MECCAT 1 n=3 e=1 count=1\n4 3 junk\n", "bad record '4 3 junk'"),
+    ("MECCAT 1 n=3 e=1 count=1\n-1 3\n", "code -1 out of range for n=3"),
+    ("MECCAT 1 n=13 e=0 count=1\n0 1\n", r"vertex count 13 outside 1\.\.12"),
+    ("MECCAT 1 n=3 e=-1 count=0\n", r"edge count -1 outside 0\.\.3"),
+])
+def test_catalog_rejects_malformed_field(tmp_path, text, message):
+    p = tmp_path / "bad.cat"
+    p.write_text(text)
+    with pytest.raises(CatalogError, match=r"bad\.cat: " + message):
+        read_catalog(p)
+
+
 def test_report_lines_content():
     r = census(3)
     lines = report_lines(r)
@@ -86,3 +111,11 @@ def test_csv_sidecars_and_size_cap(tmp_path):
     by_edges = next(p for p in paths if p.name.endswith("by_edges.csv"))
     rows = by_edges.read_text().splitlines()[1:]
     assert [int(row.split(",")[1]) for row in rows] == r.classes_by_edges
+
+
+def test_csv_sidecar_bytes_are_pinned(tmp_path):
+    # every byte of all three tables, capped and not
+    r = census(6)
+    for cap, want in SIDECARS_N6_SHA256.items():
+        paths = write_csv_sidecars(tmp_path / f"cap{cap}.txt", r, size_cap=cap)
+        assert tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in paths) == want

@@ -8,10 +8,10 @@ import pytest
 
 from mecensus.catalog import report_lines
 from mecensus.census import (
+    CensusReport,
     _slices,
     census,
     census_skeletons,
-    empty_report,
     extrapolate_ratio,
     gaussian_chi2,
     iter_skeletons,
@@ -48,7 +48,7 @@ def test_census_joint_matrix_consistency():
 
 def test_merge_identity_and_commutativity():
     r = census(4)
-    e = empty_report(4)
+    e = CensusReport(4)
     assert merge(r, e) == r
     skeletons = list(iter_skeletons(5))
     a = census_skeletons(5, skeletons[:10])
@@ -58,7 +58,7 @@ def test_merge_identity_and_commutativity():
 
 def test_merge_rejects_mismatched_n():
     with pytest.raises(ValueError):
-        merge(empty_report(3), empty_report(4))
+        merge(CensusReport(3), CensusReport(4))
 
 
 def test_merge_reconstructs_any_partition():
@@ -133,7 +133,7 @@ def test_report_n6_bytes_are_pinned():
 
 def test_census_edge_filter_slices_the_full_run():
     full = census(5)
-    sliced = census(5, edges=(4, 4))
+    sliced = census(5, iter_skeletons(5, (4, 4)))
     assert sliced.classes_by_edges[4] == full.classes_by_edges[4]
     assert sliced.adgs_by_edges[4] == full.adgs_by_edges[4]
     assert sum(sliced.classes_by_edges) == sliced.classes_by_edges[4]

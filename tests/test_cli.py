@@ -203,6 +203,19 @@ def test_census_rejects_size_cap_without_csv(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def _no_skeletons(*args):
+    raise AssertionError("skeletons loaded before the flags were checked")
+
+
+@pytest.mark.parametrize("flags", [("--format", "csv"), ("--jobs", "0")])
+def test_census_rejects_bad_flags_before_loading(flags, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_load_or_generate", _no_skeletons)
+    code, stdout, err = run(capsys, "census", "--n", "7", *flags)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error:")
+
+
 def test_census_rejects_corrupt_catalog(tmp_path, capsys):
     run(capsys, "generate", "--n", "3", "--graphs", str(tmp_path))
     victim = catalog_path(tmp_path, 3, 1)

@@ -1,5 +1,6 @@
 """Property tests for the canonical search, against permutation brute force,
-and for the orientation kernel, against the streaming enumerator.
+for the orientation kernel, against the streaming enumerator, and for
+report merging, against a census of the whole.
 
 Examples are derandomized and no example database is kept, so every run
 checks the same graphs.
@@ -12,13 +13,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mecensus.automorphisms import automorphism_group_size
+from mecensus.census import census_skeletons, iter_skeletons, merge
 from mecensus.graphs import Graph, apply_permutation, pair_count
-from mecensus.markov import classify_skeleton
+from mecensus.markov import classify_skeleton, find_v_configurations
 from mecensus.oracles import is_canonical_exhaustive
 from mecensus.orderly import canonicalize, is_canonical
 from test_markov import streamed_classes
 
 PROPERTY = settings(deadline=None, derandomize=True, database=None)
+
+SKELETONS_N5 = list(iter_skeletons(5))  # all 34
+CENSUS_N5 = census_skeletons(5, SKELETONS_N5)
 
 
 @st.composite
@@ -70,3 +75,31 @@ def test_classify_matches_streaming_on_labelled_graphs(g):
     assert table.classes == stream
     assert list(table.classes) == list(stream)
     assert table.total_orientations == sum(stream.values())
+
+
+@PROPERTY
+@given(st.data())
+def test_merge_over_random_partitions_equals_the_whole(data):
+    k = data.draw(st.integers(1, 8))
+    owners = data.draw(st.lists(st.integers(0, k - 1), min_size=len(SKELETONS_N5),
+                                max_size=len(SKELETONS_N5)))
+    parts = [census_skeletons(5, [r for r, o in zip(SKELETONS_N5, owners) if o == j])
+             for j in range(k)]
+    # merge two parts picked at random until one is left: any order, any grouping
+    while len(parts) > 1:
+        a = parts.pop(data.draw(st.integers(0, len(parts) - 1)))
+        b = parts.pop(data.draw(st.integers(0, len(parts) - 1)))
+        parts.append(merge(a, b))
+    assert parts[0] == CENSUS_N5
+
+
+def test_merge_unions_the_codes_of_a_tied_maximum():
+    # disjoint unions of cliques have no v-configuration and one class, so
+    # they tie on both maxima; dealing them out interleaves their codes
+    cliques = [r for r in SKELETONS_N5 if not find_v_configurations(r.graph)]
+    codes = sorted(r.graph.code for r in cliques)
+    assert len(codes) > 2
+    for merged in (merge(census_skeletons(5, cliques[::2]), census_skeletons(5, cliques[1::2])),
+                   merge(census_skeletons(5, cliques[1::2]), census_skeletons(5, cliques[::2]))):
+        assert (merged.max_vconfigs, merged.max_vconfig_codes) == (0, codes)
+        assert (merged.max_classes_per_skeleton, merged.max_class_codes) == (1, codes)
