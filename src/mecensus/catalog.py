@@ -6,8 +6,9 @@ Catalogs are line-oriented text, one file per (n, edge count):
     <hex code> <labellings>
     ...
 
-Codes are hexadecimal with the most significant pair leading and must be
-strictly descending.  Reports are UTF-8 key/value documents; CSV sidecars
+Codes are lowercase hexadecimal with the most significant pair leading
+and must be strictly descending; a file is read back only if every line is
+exactly what the writer would write for its values.  Reports are UTF-8 key/value documents; CSV sidecars
 carry the by-edge, by-size, and joint (edges x size) tables.
 """
 
@@ -32,6 +33,14 @@ def catalog_path(root: Path | str, n: int, e: int) -> Path:
     return Path(root) / f"n{n}" / f"e{e}.cat"
 
 
+def _header_line(n: int, e: int, count: int) -> str:
+    return f"MECCAT {FORMAT_VERSION} n={n} e={e} count={count}"
+
+
+def _record_line(code: int, labellings: int) -> str:
+    return f"{code:x} {labellings}"
+
+
 def write_catalog(path: Path | str, n: int, e: int,
                   records: Iterable[SkeletonRecord]) -> None:
     """Write one layer file; atomic via rename so failures leave no partial file."""
@@ -41,9 +50,9 @@ def write_catalog(path: Path | str, n: int, e: int,
     tmp = path.with_suffix(".cat.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(f"MECCAT {FORMAT_VERSION} n={n} e={e} count={len(records)}\n")
+            fh.write(_header_line(n, e, len(records)) + "\n")
             for rec in records:
-                fh.write(f"{rec.graph.code:x} {rec.labellings}\n")
+                fh.write(_record_line(rec.graph.code, rec.labellings) + "\n")
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -52,41 +61,41 @@ def write_catalog(path: Path | str, n: int, e: int,
 def read_catalog(path: Path | str) -> tuple[int, int, list[SkeletonRecord]]:
     """Parse and validate one layer file.
 
-    Structural checks only (header and its n and e ranges, two fields per
-    record, counts, descending codes, edge counts, and labellings summing
-    to the C(m, e) labelled graphs of the layer); canonicity of the codes
-    is not re-proved here.
+    Structural checks only (every line exactly as write_catalog writes
+    its values, the header's n and e ranges, counts, descending codes,
+    edge counts, and labellings summing to the C(m, e) labelled graphs of
+    the layer); canonicity of the codes is not re-proved here.
     """
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
+    with open(path, encoding="utf-8", newline="") as fh:
+        text = fh.read()
+    if not text:
         raise CatalogError(f"{path}: empty file")
-    head = lines[0].split()
-    if (len(head) != 5 or head[0] != "MECCAT" or head[1] != str(FORMAT_VERSION)
-            or not head[2].startswith("n=") or not head[3].startswith("e=")
-            or not head[4].startswith("count=")):
-        raise CatalogError(f"{path}: bad header {lines[0]!r}")
+    if not text.endswith("\n"):
+        raise CatalogError(f"{path}: no newline at end of file")
+    lines = text[:-1].split("\n")
     try:
-        n = int(head[2][2:])
-        e = int(head[3][2:])
-        count = int(head[4][6:])
+        _, _, n_field, e_field, count_field = lines[0].split(" ")
+        n, e, count = int(n_field[2:]), int(e_field[2:]), int(count_field[6:])
+        if lines[0] != _header_line(n, e, count):
+            raise ValueError
     except ValueError:
         raise CatalogError(f"{path}: bad header {lines[0]!r}") from None
     if not 1 <= n <= MAX_VERTICES:
         raise CatalogError(f"{path}: vertex count {n} outside 1..{MAX_VERTICES}")
     if not 0 <= e <= pair_count(n):
         raise CatalogError(f"{path}: edge count {e} outside 0..{pair_count(n)}")
-    body = [ln for ln in lines[1:] if ln]
+    body = lines[1:]
     if len(body) != count:
         raise CatalogError(f"{path}: header promises {count} records, found {len(body)}")
     records = []
     prev_code = None
     for ln in body:
         try:
-            code_hex, lab_text = ln.split()
-            code = int(code_hex, 16)
-            lab = int(lab_text)
+            code_hex, lab_text = ln.split(" ")
+            code, lab = int(code_hex, 16), int(lab_text)
+            if ln != _record_line(code, lab):
+                raise ValueError
         except ValueError:
             raise CatalogError(f"{path}: bad record {ln!r}") from None
         if not 0 <= code < 1 << pair_count(n):
@@ -141,21 +150,20 @@ def write_csv_sidecars(base: Path | str, report: CensusReport,
                        size_cap: int | None = None) -> list[Path]:
     """by_edges / by_size / joint tables next to the report; returns the paths."""
     base = Path(base)
-    by_edges = base.with_name(base.name + ".by_edges.csv")
-    with open(by_edges, "w", encoding="utf-8") as fh:
-        fh.write("edge_count,classes,adgs\n")
-        for e, (c, a) in enumerate(zip(report.classes_by_edges, report.adgs_by_edges)):
-            fh.write(f"{e},{c},{a}\n")
-    by_size = base.with_name(base.name + ".by_size.csv")
-    with open(by_size, "w", encoding="utf-8") as fh:
-        fh.write("class_size,classes\n")
-        for size, cnt in sorted(report.size_histogram.items()):
-            if size_cap is None or size <= size_cap:
-                fh.write(f"{size},{cnt}\n")
-    joint = base.with_name(base.name + ".joint.csv")
-    with open(joint, "w", encoding="utf-8") as fh:
-        fh.write("edge_count,class_size,classes\n")
-        for (e, size), cnt in sorted(report.joint.items()):
-            if size_cap is None or size <= size_cap:
-                fh.write(f"{e},{size},{cnt}\n")
-    return [by_edges, by_size, joint]
+    by_edges = [(e, c, a) for e, (c, a) in
+                enumerate(zip(report.classes_by_edges, report.adgs_by_edges))]
+    by_size = [(size, cnt) for size, cnt in sorted(report.size_histogram.items())
+               if size_cap is None or size <= size_cap]
+    joint = [(e, size, cnt) for (e, size), cnt in sorted(report.joint.items())
+             if size_cap is None or size <= size_cap]
+    paths = []
+    for suffix, header, rows in (("by_edges", "edge_count,classes,adgs", by_edges),
+                                 ("by_size", "class_size,classes", by_size),
+                                 ("joint", "edge_count,class_size,classes", joint)):
+        path = base.with_name(f"{base.name}.{suffix}.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(header + "\n")
+            for row in rows:
+                fh.write(",".join(map(str, row)) + "\n")
+        paths.append(path)
+    return paths

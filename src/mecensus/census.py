@@ -16,7 +16,6 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence
 
-from . import automorphisms
 from .graphs import Graph, pair_count
 from .markov import classify_skeleton, find_v_configurations
 from .orderly import generate_all
@@ -116,8 +115,8 @@ def iter_skeletons(n: int, edges: tuple[int, int] | None = None) -> Iterable[Ske
     for layer in generate_all(n):
         if edges is not None and not edges[0] <= layer.edge_count <= edges[1]:
             continue
-        for g, aut in zip(layer.graphs, layer.auts):
-            yield SkeletonRecord(graph=g, labellings=automorphisms.labelling_count(g, aut))
+        for g, lab in zip(layer.graphs, layer.labellings):
+            yield SkeletonRecord(graph=g, labellings=lab)
 
 
 def census_skeletons(n: int, records: Iterable[SkeletonRecord]) -> CensusReport:

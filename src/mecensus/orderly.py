@@ -20,12 +20,14 @@ column k, and each cell then splits into (neighbours, non-neighbours).
 Only the states that tie on the best column go on to the next label, as
 in individualisation-refinement (McKay & Piperno 2014); the labellings
 that survive to the end are exactly those reaching the maximal code, so
-their number is |Aut|.
+their number is |Aut|.  generate_all hands out each graph with its
+labelled-copy count, n!/|Aut|, the weight the census gives it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial
 from typing import Iterator
 
 from .graphs import (
@@ -106,6 +108,11 @@ def canonical_search(n: int, adj: list[int], target: int = -1) -> tuple[int, int
     return code, sum(states.values())
 
 
+def automorphism_group_size(g: Graph) -> int:
+    """Number of relabellings that reproduce g exactly."""
+    return canonical_search(g.n, adjacency_masks(g))[1]
+
+
 def is_canonical(g: Graph) -> bool:
     """True iff no relabelling yields a strictly larger code."""
     return canonical_search(g.n, adjacency_masks(g), g.code)[0] == g.code
@@ -121,7 +128,7 @@ class GenerationLayer:
     n: int
     edge_count: int
     graphs: list[Graph]  # strictly descending code
-    auts: list[int]  # |Aut| of each graph, in the same order
+    labellings: list[int]  # n!/|Aut| of each graph, in the same order
 
 
 def generate_all(n: int) -> Iterator[GenerationLayer]:
@@ -130,8 +137,9 @@ def generate_all(n: int) -> Iterator[GenerationLayer]:
     Layers up to floor(m/2) are grown by augmentation (so the middle layer,
     when m is even, never goes through complementation); the rest mirror the
     lower half through complement + canonicalize.  Each kept graph is
-    searched once, and its |Aut| travels with it.  A child's neighbour
-    masks are its parent's plus the one new edge.
+    searched once, and its |Aut| travels with it until it becomes the
+    labelled-copy count n!/|Aut|.  A child's neighbour masks are its
+    parent's plus the one new edge.
     """
     if n < 1:
         raise ValueError("need at least one vertex")
@@ -155,7 +163,12 @@ def generate_all(n: int) -> Iterator[GenerationLayer]:
     for e in range(m // 2 + 1, m + 1):
         layers[e] = dict(canonical_search(n, adjacency_masks(complement(Graph(n, p))))
                          for p in layers[m - e])
+    nf = factorial(n)
     for e in range(m + 1):
-        codes = sorted(layers[e], reverse=True)
+        auts = layers[e]
+        codes = sorted(auts, reverse=True)
+        for c in codes:
+            if nf % auts[c]:
+                raise RuntimeError(f"|Aut| = {auts[c]} does not divide {n}! (code {c:#x})")
         yield GenerationLayer(n=n, edge_count=e, graphs=[Graph(n, c) for c in codes],
-                              auts=[layers[e][c] for c in codes])
+                              labellings=[nf // auts[c] for c in codes])

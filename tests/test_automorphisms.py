@@ -3,10 +3,9 @@ from math import comb, factorial
 
 import pytest
 
-from mecensus import automorphisms
-from mecensus.automorphisms import automorphism_group_size, labelling_count
+from mecensus import orderly
 from mecensus.graphs import Graph, apply_permutation, complement, complete_graph, encode, pair_count
-from mecensus.orderly import canonicalize, generate_all
+from mecensus.orderly import automorphism_group_size, canonicalize, generate_all
 
 
 def brute_aut(g: Graph) -> int:
@@ -17,7 +16,9 @@ def brute_aut(g: Graph) -> int:
 def test_complete_graph_full_symmetry():
     for n in range(1, 7):
         assert automorphism_group_size(complete_graph(n)) == factorial(n)
-        assert labelling_count(complete_graph(n)) == 1
+        *_, top = generate_all(n)
+        assert top.graphs == [complete_graph(n)]
+        assert top.labellings == [1]
 
 
 def test_symmetric_graphs_at_twelve_vertices():
@@ -34,7 +35,9 @@ def test_symmetric_graphs_at_twelve_vertices():
 
 def test_path_swaps_leaves():
     assert automorphism_group_size(Graph(3, 6)) == 2
-    assert labelling_count(Graph(3, 6)) == 3
+    layer = list(generate_all(3))[2]
+    assert layer.graphs == [Graph(3, 6)]
+    assert layer.labellings == [3]
 
 
 def test_edge_plus_isolated_pair():
@@ -63,19 +66,23 @@ def test_layer_labelling_sums_count_all_labeled_graphs():
     for n in range(2, 7):
         m = pair_count(n)
         for layer in generate_all(n):
-            total = sum(labelling_count(g) for g in layer.graphs)
-            assert total == comb(m, layer.edge_count)
+            assert sum(layer.labellings) == comb(m, layer.edge_count)
+            assert layer.labellings == [factorial(n) // automorphism_group_size(g)
+                                        for g in layer.graphs]
 
 
 def test_labellings_equal_for_complement():
     for n in (4, 5, 6):
         for layer in generate_all(n):
             for g in layer.graphs:
-                assert labelling_count(g) == labelling_count(canonicalize(complement(g)))
+                assert automorphism_group_size(g) == \
+                    automorphism_group_size(canonicalize(complement(g)))
 
 
-def test_labelling_count_rejects_non_divisor(monkeypatch):
+def test_generate_all_rejects_non_divisor(monkeypatch):
     # 7 does not divide 4! = 24; the check must survive python -O
-    monkeypatch.setattr(automorphisms, "automorphism_group_size", lambda g: 7)
+    real = orderly.canonical_search
+    monkeypatch.setattr(orderly, "canonical_search",
+                        lambda n, adj, target=-1: (real(n, adj, target)[0], 7))
     with pytest.raises(RuntimeError, match="does not divide"):
-        automorphisms.labelling_count(complete_graph(4))
+        list(generate_all(4))

@@ -80,6 +80,21 @@ def test_catalog_rejects_unsorted_codes(tmp_path):
     ("MECCAT 1 n=3 e=1 count=1\n-1 3\n", "code -1 out of range for n=3"),
     ("MECCAT 1 n=13 e=0 count=1\n0 1\n", r"vertex count 13 outside 1\.\.12"),
     ("MECCAT 1 n=3 e=-1 count=0\n", r"edge count -1 outside 0\.\.3"),
+    ("MECCAT 1 n=3 e=1 count=1\n0x4 +3\n", "bad record '0x4 \\+3'"),
+    ("MECCAT 1 n=3 e=1 count=1\n4 +3\n", "bad record '4 \\+3'"),
+    ("MECCAT 1 n=3 e=1 count=1\n04 3\n", "bad record '04 3'"),
+    ("MECCAT 1 n=4 e=5 count=1\n3E 6\n", "bad record '3E 6'"),
+    ("MECCAT 1 n=4 e=5 count=1\n3_e 6\n", "bad record '3_e 6'"),
+    ("MECCAT 1 n=3 e=1 count=1\n4  3\n", "bad record '4  3'"),
+    ("MECCAT 1 n=3 e=1 count=1\n4 3 \n", "bad record '4 3 '"),
+    ("MECCAT 1 n=3 e=1 count=1\n\n4 3\n", "header promises 1 records, found 2"),
+    ("MECCAT 1 n=03 e=1 count=1\n4 3\n", "bad header 'MECCAT 1 n=03 e=1 count=1'"),
+    ("MECCAT 1 n=3 e=+1 count=1\n4 3\n", "bad header 'MECCAT 1 n=3 e=\\+1 count=1'"),
+    ("MECCAT 1 n=3 e=1 count=1_0\n4 3\n", "bad header 'MECCAT 1 n=3 e=1 count=1_0'"),
+    ("MECCAT  1 n=3 e=1 count=1\n4 3\n", "bad header 'MECCAT  1 n=3 e=1 count=1'"),
+    ("MECCAT 1 n=3 e=1 count=1\r\n4 3\r\n", r"bad header 'MECCAT 1 n=3 e=1 count=1\\r'"),
+    ("MECCAT 1 n=3 e=1 count=1\n4 3\r\n", r"bad record '4 3\\r'"),
+    ("MECCAT 1 n=3 e=1 count=1\n4 3", "no newline at end of file"),
 ])
 def test_catalog_rejects_malformed_field(tmp_path, text, message):
     p = tmp_path / "bad.cat"

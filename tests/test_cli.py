@@ -1,5 +1,4 @@
 import hashlib
-import importlib
 import os
 import subprocess
 import sys
@@ -8,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from mecensus import cli, reference
+from mecensus import census, cli, reference
 from mecensus.catalog import catalog_path, read_catalog
 
 
@@ -85,10 +84,8 @@ def _die_in_worker(n, items):
 
 
 def test_census_worker_death_exits_2(capsys, monkeypatch):
-    # module-level so the pool pickles it by name; forked workers see the patch.
-    # The package's `census` attribute is the function, so fetch the module.
-    monkeypatch.setattr(importlib.import_module("mecensus.census"), "_census_slice",
-                        _die_in_worker)
+    # module-level so the pool pickles it by name; forked workers see the patch
+    monkeypatch.setattr(census, "_census_slice", _die_in_worker)
     code, _, err = run(capsys, "census", "--n", "4", "--jobs", "2")
     assert code == 2
     assert "error: census worker died" in err
@@ -107,7 +104,9 @@ def test_verify_and_chi2_run_without_numpy():
     # still run, so the package has no runtime dependency
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     probe = ("import sys; sys.modules['numpy'] = None\n"
-             "from mecensus import Graph, census, cli, gaussian_chi2, oracles\n"
+             "from mecensus import cli, oracles\n"
+             "from mecensus.census import census, gaussian_chi2\n"
+             "from mecensus.graphs import Graph\n"
              "assert cli.main(['verify', '--n', '4']) == 0\n"
              "assert oracles.is_canonical_exhaustive(Graph(4, 63))\n"
              "print(gaussian_chi2(census(5).classes_by_edges))")
@@ -115,6 +114,18 @@ def test_verify_and_chi2_run_without_numpy():
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert "all checks passed for n=4" in done.stdout
+
+
+def test_package_import_loads_no_submodule():
+    # the package re-exports nothing, so `mecensus.census` names the module
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    probe = ("import sys, types, mecensus\n"
+             "print(sorted(m for m in sys.modules if m.startswith('mecensus.')))\n"
+             "import mecensus.census as m\n"
+             "print(isinstance(m, types.ModuleType))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines() == ["[]", "True"]
 
 
 def test_cli_import_leaves_process_pool_out():
@@ -251,14 +262,15 @@ def test_verify_passes_small_n(capsys):
 
 
 def test_verify_catches_injected_labelling_fault(capsys, monkeypatch):
-    from mecensus import automorphisms
-    real = automorphisms.labelling_count
+    real = census.generate_all
 
-    def off_by_one(g, aut=None):
-        value = real(g, aut)
-        return value + 1 if g.edge_count == 2 else value
+    def skewed(n):
+        for layer in real(n):
+            if layer.edge_count == 2:
+                layer.labellings = [lab + 1 for lab in layer.labellings]
+            yield layer
 
-    monkeypatch.setattr(automorphisms, "labelling_count", off_by_one)
+    monkeypatch.setattr(census, "generate_all", skewed)
     code, out, _ = run(capsys, "verify", "--n", "4")
     assert code == 1
     assert "FAIL" in out

@@ -12,12 +12,11 @@ from math import factorial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mecensus.automorphisms import automorphism_group_size
 from mecensus.census import census_skeletons, iter_skeletons, merge
 from mecensus.graphs import Graph, apply_permutation, pair_count
 from mecensus.markov import classify_skeleton, find_v_configurations
 from mecensus.oracles import is_canonical_exhaustive
-from mecensus.orderly import canonicalize, is_canonical
+from mecensus.orderly import automorphism_group_size, canonicalize, is_canonical
 from test_markov import streamed_classes
 
 PROPERTY = settings(deadline=None, derandomize=True, database=None)
