@@ -41,21 +41,24 @@ def _record_line(code: int, labellings: int) -> str:
     return f"{code:x} {labellings}"
 
 
-def write_catalog(path: Path | str, n: int, e: int,
-                  records: Iterable[SkeletonRecord]) -> None:
-    """Write one layer file; atomic via rename so failures leave no partial file."""
-    path = Path(path)
+def _write_atomic(path: Path, text: str) -> None:
+    """Write via a rename, so a failure leaves no partial file under path."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    records = list(records)
-    tmp = path.with_suffix(".cat.tmp")
+    tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(_header_line(n, e, len(records)) + "\n")
-            for rec in records:
-                fh.write(_record_line(rec.graph.code, rec.labellings) + "\n")
+        tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def write_catalog(path: Path | str, n: int, e: int,
+                  records: Iterable[SkeletonRecord]) -> None:
+    """Write one layer file."""
+    records = list(records)
+    lines = [_header_line(n, e, len(records))]
+    lines += [_record_line(rec.graph.code, rec.labellings) for rec in records]
+    _write_atomic(Path(path), "\n".join(lines) + "\n")
 
 
 def read_catalog(path: Path | str) -> tuple[int, int, list[SkeletonRecord]]:
@@ -142,8 +145,7 @@ def report_lines(report: CensusReport, edges: tuple[int, int] | None = None) -> 
 
 def write_report(path: Path | str, report: CensusReport,
                  edges: tuple[int, int] | None = None) -> None:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text("\n".join(report_lines(report, edges)) + "\n", encoding="utf-8")
+    _write_atomic(Path(path), "\n".join(report_lines(report, edges)) + "\n")
 
 
 def write_csv_sidecars(base: Path | str, report: CensusReport,
@@ -161,9 +163,7 @@ def write_csv_sidecars(base: Path | str, report: CensusReport,
                                  ("by_size", "class_size,classes", by_size),
                                  ("joint", "edge_count,class_size,classes", joint)):
         path = base.with_name(f"{base.name}.{suffix}.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(header + "\n")
-            for row in rows:
-                fh.write(",".join(map(str, row)) + "\n")
+        lines = [header] + [",".join(map(str, row)) for row in rows]
+        _write_atomic(path, "\n".join(lines) + "\n")
         paths.append(path)
     return paths

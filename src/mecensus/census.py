@@ -235,12 +235,7 @@ def extrapolate_ratio(r_prev: float, r_cur: float, n_cur: int, n_target: int) ->
 
 def ratio_asymptote(r_prev: float, r_cur: float, n_cur: int) -> float:
     """Limit of the extrapolated sequence (converged to double precision)."""
-    prev, cur = float(r_prev), float(r_cur)
-    k = n_cur
-    while prev != cur and k < n_cur + 10_000:
-        prev, cur = cur, cur - (prev - cur) / _s_coefficient(k + 1)
-        k += 1
-    return cur
+    return extrapolate_ratio(r_prev, r_cur, n_cur, n_cur + 10_000)
 
 
 def gaussian_chi2(by_edges: Sequence[int]) -> float:

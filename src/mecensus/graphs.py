@@ -52,13 +52,6 @@ class Graph:
     def edge_count(self) -> int:
         return self.code.bit_count()
 
-    def has_edge(self, i: int, j: int) -> bool:
-        if i == j:
-            return False
-        if i > j:
-            i, j = j, i
-        return bool(self.code >> pair_index(i, j) & 1)
-
     def edges(self) -> list[tuple[int, int]]:
         """Edge list in ascending bit-position order."""
         out = []
@@ -92,18 +85,6 @@ def encode(edges: Iterable[tuple[int, int]], n: int) -> Graph:
 
 def complement(g: Graph) -> Graph:
     return Graph(g.n, ((1 << pair_count(g.n)) - 1) ^ g.code)
-
-
-def degree_sequence(g: Graph) -> list[int]:
-    """Degrees indexed by vertex - 1."""
-    deg = [0] * g.n
-    c = g.code
-    for i, j in iter_pairs(g.n):
-        if c & 1:
-            deg[i - 1] += 1
-            deg[j - 1] += 1
-        c >>= 1
-    return deg
 
 
 def adjacency_masks(g: Graph) -> list[int]:

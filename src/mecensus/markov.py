@@ -13,8 +13,8 @@ and carried forward as one count.  A vertex whose neighbours are all
 placed must join the next layer, so it is placed at once and dropped from
 the state, and a walk whose last two vertices form one edge is tallied
 without further states.  The reference it is tested against,
-oracles.class_code over the streamed orientations, keys each orientation
-arc by arc instead.
+oracles.class_code over the streamed orientations, keys each finished
+orientation by testing its parent masks at every v-configuration instead.
 """
 
 from __future__ import annotations

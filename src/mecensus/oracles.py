@@ -3,16 +3,16 @@
 Everything here is deliberately naive and shares nothing with the main
 pipeline beyond the graph coding: digraphs are enumerated pair by pair,
 canonical forms are taken over all n! permutations, acyclic orientations
-are streamed one edge direction at a time and keyed by their immoralities
-arc by arc, and acyclic orientation counts come from the chromatic
-polynomial.  Disagreement with the pipeline fails the build.
+are streamed one edge direction at a time as per-vertex parent masks and
+keyed by the v-configurations whose two parents are both set, and acyclic
+orientation counts come from the chromatic polynomial.  Disagreement with
+the pipeline fails the build.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
 from .graphs import Graph, apply_permutation, iter_pairs, pair_index
@@ -116,49 +116,25 @@ def is_canonical_exhaustive(g: Graph) -> bool:
                for perm in itertools.permutations(range(1, g.n + 1)))
 
 
-@lru_cache(maxsize=1)
-def _edges(g: Graph) -> tuple[tuple[int, int], ...]:
-    # orientations of one skeleton arrive together, so one entry suffices
-    return tuple(g.edges())
-
-
-@dataclass(frozen=True)
-class Orientation:
-    """A direction for every skeleton edge, acyclic by construction.
-
-    Bit r of direction refers to the r-th edge of skeleton.edges() and is
-    1 when the edge points from its lower to its higher endpoint.
-    """
-
-    skeleton: Graph
-    direction: int
-
-    def directed_edges(self) -> list[tuple[int, int]]:
-        out = []
-        for r, (i, j) in enumerate(_edges(self.skeleton)):
-            out.append((i, j) if self.direction >> r & 1 else (j, i))
-        return out
-
-
-def enumerate_acyclic_orientations(g: Graph) -> Iterator[Orientation]:
+def enumerate_acyclic_orientations(g: Graph) -> Iterator[tuple[int, ...]]:
     """Every acyclic orientation of g exactly once, deterministic order.
 
+    Yields parent masks: entry v-1 has bit u-1 set iff the arc is u->v.
     Depth-first over the edges from most to least significant, trying
     low-to-high before high-to-low; a direction u->v is pruned as soon as
     v already reaches u through the edges directed so far.
     """
     edges = g.edges()
-    E = len(edges)
     n = g.n
     reach = [1 << v for v in range(n)]
+    parents = [0] * n
 
-    def rec(k: int, mask: int) -> Iterator[Orientation]:
+    def rec(k: int) -> Iterator[tuple[int, ...]]:
         if k < 0:
-            yield Orientation(skeleton=g, direction=mask)
+            yield tuple(parents)
             return
         i, j = edges[k]
-        for bit in (1, 0):
-            u, v = (i - 1, j - 1) if bit else (j - 1, i - 1)
+        for u, v in ((i - 1, j - 1), (j - 1, i - 1)):
             if reach[v] >> u & 1:
                 continue
             mv = reach[v]
@@ -168,30 +144,21 @@ def enumerate_acyclic_orientations(g: Graph) -> Iterator[Orientation]:
                 if rw >> u & 1 and rw | mv != rw:
                     undo.append((w, rw))
                     reach[w] = rw | mv
-            yield from rec(k - 1, mask | (bit << k))
+            parents[v] |= 1 << u
+            yield from rec(k - 1)
+            parents[v] ^= 1 << u
             for w, rw in undo:
                 reach[w] = rw
 
-    return rec(E - 1, 0)
+    return rec(len(edges) - 1)
 
 
-def count_acyclic_orientations(g: Graph) -> int:
-    """Length of the orientation stream."""
-    return sum(1 for _ in enumerate_acyclic_orientations(g))
-
-
-def class_code(o: Orientation, vconfigs: list[tuple[int, int, int]]) -> int:
+def class_code(parents: tuple[int, ...], vconfigs: list[tuple[int, int, int]]) -> int:
     """Bit i set iff vconfigs[i] is oriented as an immorality (a->b<-c)."""
-    parents = [0] * (o.skeleton.n + 1)  # per vertex: bit u set iff u -> vertex
-    d = o.direction
-    for r, (i, j) in enumerate(_edges(o.skeleton)):
-        if d >> r & 1:
-            parents[j] |= 1 << i
-        else:
-            parents[i] |= 1 << j
     code = 0
     for k, (a, b, c) in enumerate(vconfigs):
-        if parents[b] >> a & 1 and parents[b] >> c & 1:
+        pb = parents[b - 1]
+        if pb >> (a - 1) & 1 and pb >> (c - 1) & 1:
             code |= 1 << k
     return code
 

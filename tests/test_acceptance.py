@@ -7,7 +7,6 @@ extension is opt-in: MECENSUS_EXTENDED=1 pytest -m extended ...
 import hashlib
 import os
 import time
-from fractions import Fraction
 from math import comb, factorial
 
 import pytest
@@ -104,10 +103,10 @@ def test_criterion_4_full_distribution_oracle(reports):
 
 def test_criterion_5_size1_ratio(reports):
     for n in range(2, MAX_N + 1):
-        diff = abs(reports[n].size1_ratio - Fraction(KNOWN_SIZE1_RATIOS[n]))
-        assert diff <= Fraction(1, 100_000), f"n={n}: off by {float(diff)}"
+        r = reports[n].size1_ratio
+        assert matches_published_ratio(r, KNOWN_SIZE1_RATIOS[n]), f"n={n}: {float(r)}"
     assert KNOWN_SIZE1_RATIOS[4] == "0.31892"
-    print(f"PASS criterion 5: size-1 class ratios within 1e-5 for n=2..{MAX_N}")
+    print(f"PASS criterion 5: size-1 class ratios match to five decimals for n=2..{MAX_N}")
 
 
 def test_criterion_6_structural_identities(reports):
@@ -195,5 +194,5 @@ def test_extended_n8_census():
     assert matches_published_ratio(r.ratio, KNOWN_RATIOS[8])
     assert r.max_vconfigs == KNOWN_MAX_VCONFIGS[8]
     assert r.max_classes_per_skeleton == KNOWN_MAX_CLASSES[8]
-    assert abs(r.size1_ratio - Fraction(KNOWN_SIZE1_RATIOS[8])) <= Fraction(1, 100_000)
+    assert matches_published_ratio(r.size1_ratio, KNOWN_SIZE1_RATIOS[8])
     print(f"PASS extended: n=8 census matches the published values ({elapsed:.0f}s)")

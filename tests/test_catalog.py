@@ -134,3 +134,14 @@ def test_csv_sidecar_bytes_are_pinned(tmp_path):
     for cap, want in SIDECARS_N6_SHA256.items():
         paths = write_csv_sidecars(tmp_path / f"cap{cap}.txt", r, size_cap=cap)
         assert tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in paths) == want
+
+
+def test_failed_report_write_leaves_no_file(tmp_path, monkeypatch):
+    # a write that dies before the rename must not leave a finished-looking report
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("mecensus.catalog.os.replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        write_report(tmp_path / "report.txt", census(3))
+    assert list(tmp_path.iterdir()) == []

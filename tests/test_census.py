@@ -191,6 +191,8 @@ def test_extrapolate_rejects_bad_inputs():
     with pytest.raises(ValueError):
         extrapolate_ratio(0.2, 0.3, 10, 20)  # increasing ratios
     with pytest.raises(ValueError):
+        ratio_asymptote(0.2, 0.3, 10)
+    with pytest.raises(ValueError):
         extrapolate_ratio(0.3, -0.1, 10, 20)
     with pytest.raises(ValueError):
         extrapolate_ratio(0.3, 0.2, 10, 5)  # target below start

@@ -21,17 +21,14 @@ def complete_bipartite(a: int, b: int) -> Graph:
     return encode({(i, j) for i in range(1, a + 1) for j in range(a + 1, a + b + 1)}, a + b)
 
 
-def immorality_set(o) -> frozenset:
-    # independent route: read parents off the arc list
-    arcs = o.directed_edges()
-    n = o.skeleton.n
-    parents = {v: [] for v in range(1, n + 1)}
-    for u, v in arcs:
-        parents[v].append(u)
+def immorality_set(g: Graph, parents: tuple[int, ...]) -> frozenset:
+    # independent route: pairs of parents that the edge list leaves unjoined
+    edges = set(g.edges())
     out = set()
-    for b in range(1, n + 1):
-        for a, c in itertools.combinations(sorted(parents[b]), 2):
-            if not o.skeleton.has_edge(a, c):
+    for b in range(1, g.n + 1):
+        ps = [u for u in range(1, g.n + 1) if parents[b - 1] >> (u - 1) & 1]
+        for a, c in itertools.combinations(ps, 2):
+            if (a, c) not in edges:
                 out.add((a, b, c))
     return frozenset(out)
 
@@ -50,30 +47,30 @@ def test_v_configuration_order_and_bound():
         for layer in generate_all(n):
             for g in layer.graphs:
                 vcs = find_v_configurations(g)
+                edges = set(g.edges())
                 assert len(vcs) <= n * (n - 1) * (n - 2) // 6
                 assert vcs == sorted(vcs, key=lambda t: (t[1], t[0], t[2]))
                 for a, b, c in vcs:
                     assert a < c
-                    assert g.has_edge(a, b) and g.has_edge(b, c)
-                    assert not g.has_edge(a, c)
+                    assert tuple(sorted((a, b))) in edges and tuple(sorted((b, c))) in edges
+                    assert (a, c) not in edges
 
 
 def test_class_code_on_path():
     g = Graph(3, 6)  # edges (1,3),(2,3); the only v-configuration centers on 3
     vcs = find_v_configurations(g)
-    codes = {}
-    for o in enumerate_acyclic_orientations(g):
-        codes[tuple(sorted(o.directed_edges()))] = class_code(o, vcs)
-    assert codes[((1, 3), (2, 3))] == 1  # both arrows into the center
-    assert codes[((1, 3), (3, 2))] == 0
-    assert codes[((3, 1), (3, 2))] == 0
+    codes = {p: class_code(p, vcs) for p in enumerate_acyclic_orientations(g)}
+    assert len(codes) == 4
+    assert codes[(0, 0, 0b011)] == 1  # 1->3<-2: both arrows into the center
+    assert codes[(0, 0b100, 0b001)] == 0  # 1->3->2
+    assert codes[(0b100, 0b100, 0)] == 0  # 1<-3->2
 
 
 def test_class_code_zero_on_complete_graph():
     g = complete_graph(3)
     vcs = find_v_configurations(g)
-    for o in enumerate_acyclic_orientations(g):
-        assert class_code(o, vcs) == 0
+    for parents in enumerate_acyclic_orientations(g):
+        assert class_code(parents, vcs) == 0
 
 
 def test_classify_path3():
@@ -99,8 +96,8 @@ def test_classify_matches_direct_immorality_grouping():
         for layer in generate_all(n):
             for g in layer.graphs:
                 direct = {}
-                for o in enumerate_acyclic_orientations(g):
-                    key = immorality_set(o)
+                for parents in enumerate_acyclic_orientations(g):
+                    key = immorality_set(g, parents)
                     direct[key] = direct.get(key, 0) + 1
                 table = classify_skeleton(g)
                 assert sorted(direct.values()) == sorted(table.classes.values())
@@ -115,9 +112,9 @@ def test_codes_and_immorality_sets_partition_identically():
                 vcs = find_v_configurations(g)
                 code_to_sets = {}
                 set_to_codes = {}
-                for o in enumerate_acyclic_orientations(g):
-                    c = class_code(o, vcs)
-                    s = immorality_set(o)
+                for parents in enumerate_acyclic_orientations(g):
+                    c = class_code(parents, vcs)
+                    s = immorality_set(g, parents)
                     code_to_sets.setdefault(c, set()).add(s)
                     set_to_codes.setdefault(s, set()).add(c)
                 assert all(len(v) == 1 for v in code_to_sets.values())
@@ -137,8 +134,8 @@ def streamed_classes(g: Graph) -> dict[int, int]:
     # reference tally: the public orientation stream keyed by class_code
     vcs = find_v_configurations(g)
     counts = {}
-    for o in enumerate_acyclic_orientations(g):
-        c = class_code(o, vcs)
+    for parents in enumerate_acyclic_orientations(g):
+        c = class_code(parents, vcs)
         counts[c] = counts.get(c, 0) + 1
     return dict(sorted(counts.items()))
 

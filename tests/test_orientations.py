@@ -2,11 +2,7 @@ import itertools
 from math import factorial
 
 from mecensus.graphs import Graph, complete_graph, empty_graph, encode
-from mecensus.oracles import (
-    chromatic_polynomial_at,
-    count_acyclic_orientations,
-    enumerate_acyclic_orientations,
-)
+from mecensus.oracles import chromatic_polynomial_at, enumerate_acyclic_orientations
 from mecensus.orderly import generate_all
 
 
@@ -29,8 +25,15 @@ def has_directed_cycle(n: int, arcs: list[tuple[int, int]]) -> bool:
     return seen != n
 
 
+def arcs_of(parents: tuple[int, ...]) -> list[tuple[int, int]]:
+    # every (u, v) with bit u-1 set in the mask of v
+    n = len(parents)
+    return [(u, v) for v in range(1, n + 1) for u in range(1, n + 1)
+            if parents[v - 1] >> (u - 1) & 1]
+
+
 def test_path_has_four_orientations():
-    assert count_acyclic_orientations(Graph(3, 6)) == 4
+    assert sum(1 for _ in enumerate_acyclic_orientations(Graph(3, 6))) == 4
 
 
 def test_triangle_drops_the_two_cycles():
@@ -49,33 +52,45 @@ def test_triangle_drops_the_two_cycles():
 
 def test_complete_graphs_count_linear_orders():
     for n in (3, 4, 5):
-        assert count_acyclic_orientations(complete_graph(n)) == factorial(n)
+        assert sum(1 for _ in enumerate_acyclic_orientations(complete_graph(n))) == factorial(n)
 
 
 def test_empty_graph_single_orientation():
     for n in (1, 3, 6):
-        assert count_acyclic_orientations(empty_graph(n)) == 1
+        assert sum(1 for _ in enumerate_acyclic_orientations(empty_graph(n))) == 1
 
 
 def test_four_cycle():
     c4 = encode({(1, 2), (2, 3), (3, 4), (1, 4)}, 4)
-    assert count_acyclic_orientations(c4) == 14
+    assert sum(1 for _ in enumerate_acyclic_orientations(c4)) == 14
 
 
 def test_streams_are_acyclic_unique_and_deterministic():
     for n in (3, 4, 5):
         for layer in generate_all(n):
             for g in layer.graphs:
-                first = [o.direction for o in enumerate_acyclic_orientations(g)]
-                second = [o.direction for o in enumerate_acyclic_orientations(g)]
+                first = list(enumerate_acyclic_orientations(g))
+                second = list(enumerate_acyclic_orientations(g))
                 assert first == second
                 assert len(set(first)) == len(first)
-                for o in enumerate_acyclic_orientations(g):
-                    assert not has_directed_cycle(n, o.directed_edges())
+                for parents in first:
+                    assert not has_directed_cycle(n, arcs_of(parents))
+
+
+def test_streams_orient_each_edge_once():
+    # one parent mask per vertex; the arcs, read undirected, are the edges
+    for n in range(1, 6):
+        for layer in generate_all(n):
+            for g in layer.graphs:
+                for parents in enumerate_acyclic_orientations(g):
+                    assert len(parents) == n
+                    undirected = sorted(tuple(sorted(a)) for a in arcs_of(parents))
+                    assert undirected == sorted(g.edges())
 
 
 def test_counts_match_chromatic_polynomial():
     for n in (3, 4, 5):
         for layer in generate_all(n):
             for g in layer.graphs:
-                assert count_acyclic_orientations(g) == abs(chromatic_polynomial_at(g, -1))
+                want = abs(chromatic_polynomial_at(g, -1))
+                assert sum(1 for _ in enumerate_acyclic_orientations(g)) == want
