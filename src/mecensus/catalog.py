@@ -148,16 +148,13 @@ def write_report(path: Path | str, report: CensusReport,
     _write_atomic(Path(path), "\n".join(report_lines(report, edges)) + "\n")
 
 
-def write_csv_sidecars(base: Path | str, report: CensusReport,
-                       size_cap: int | None = None) -> list[Path]:
+def write_csv_sidecars(base: Path | str, report: CensusReport) -> list[Path]:
     """by_edges / by_size / joint tables next to the report; returns the paths."""
     base = Path(base)
     by_edges = [(e, c, a) for e, (c, a) in
                 enumerate(zip(report.classes_by_edges, report.adgs_by_edges))]
-    by_size = [(size, cnt) for size, cnt in sorted(report.size_histogram.items())
-               if size_cap is None or size <= size_cap]
-    joint = [(e, size, cnt) for (e, size), cnt in sorted(report.joint.items())
-             if size_cap is None or size <= size_cap]
+    by_size = sorted(report.size_histogram.items())
+    joint = [(e, size, cnt) for (e, size), cnt in sorted(report.joint.items())]
     paths = []
     for suffix, header, rows in (("by_edges", "edge_count,classes,adgs", by_edges),
                                  ("by_size", "class_size,classes", by_size),

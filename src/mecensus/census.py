@@ -1,4 +1,4 @@
-"""Per-n census aggregation and the analytic companions.
+"""Per-n census aggregation and Robinson's counts of labelled ADGs.
 
 A census walks each canonical skeleton once, classifies it, and counts
 its classes per (edge count, class size), scaled by the skeleton's
@@ -8,13 +8,12 @@ commutatively, which is what makes worker partitioning safe.
 
 from __future__ import annotations
 
-import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .graphs import Graph, pair_count
 from .markov import classify_skeleton, find_v_configurations
@@ -153,10 +152,10 @@ def census(n: int, skeletons: Iterable[SkeletonRecord] | None = None,
     """Census for n vertices over `skeletons`, every skeleton by default.
 
     An edge slice is census(n, iter_skeletons(n, edges)).  Identical output
-    for every job count: skeletons are dealt round-robin into jobs slices,
-    run on at most one worker per usable CPU; workers share nothing, and
-    merging is exact integer arithmetic, so neither the split nor the merge
-    order shows.
+    for every job count: min(jobs, usable CPUs) worker processes each take
+    one slice of the skeletons, dealt round-robin; workers share nothing,
+    and merging is exact integer arithmetic, so neither the split nor the
+    merge order shows.
     Raises CensusWorkerError if a worker process dies.
     """
     if jobs < 1:
@@ -164,20 +163,18 @@ def census(n: int, skeletons: Iterable[SkeletonRecord] | None = None,
     if skeletons is None:
         skeletons = iter_skeletons(n)
     skeletons = list(skeletons)
-    if jobs == 1 or len(skeletons) < 2 * jobs:
+    workers = min(jobs, len(os.sched_getaffinity(0)))
+    if workers == 1 or len(skeletons) < 2 * workers:
         return census_skeletons(n, skeletons)
     # imported here: the pool machinery costs every CLI start, and only --jobs uses it
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    items = [(r.graph.code, r.labellings) for r in skeletons]
-    slices = _slices(items, jobs)
+    slices = _slices([(r.graph.code, r.labellings) for r in skeletons], workers)
     report = CensusReport(n)
     try:
-        # the slices, and so the bytes, depend on jobs alone; more workers
-        # than usable CPUs only add processes
-        with ProcessPoolExecutor(max_workers=min(jobs, len(os.sched_getaffinity(0)))) as pool:
-            for part in pool.map(_census_slice, [n] * len(slices), slices):
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for part in pool.map(_census_slice, [n] * workers, slices):
                 report = merge(report, part)
     except BrokenProcessPool as exc:
         raise CensusWorkerError(str(exc)) from exc
@@ -195,68 +192,23 @@ def robinson_adg_count(n: int) -> int:
     return a[n]
 
 
-def median_edges_prediction(n: int) -> int:
-    """floor(n/2) * ceil(n/2), the maximum of i*(n-i) over integers i."""
-    if n < 1:
-        raise ValueError("need at least one vertex")
-    return (n // 2) * ((n + 1) // 2)
+def robinson_adgs_by_edges(n: int) -> list[int]:
+    """Labeled acyclic digraphs on n vertices per arc count, index = arcs.
 
-
-def median_edge_count(report: CensusReport) -> int:
-    """Smallest e where the cumulative class count reaches half the total."""
-    total = report.total_classes
-    cum = 0
-    for e, c in enumerate(report.classes_by_edges):
-        cum += c
-        if 2 * cum >= total:
-            return e
-    raise ValueError("empty distribution")
-
-
-def _s_coefficient(k: int) -> float:
-    return 2.0 + (20.0 / 3.0) * math.exp(-k / 2.0)
-
-
-def extrapolate_ratio(r_prev: float, r_cur: float, n_cur: int, n_target: int) -> float:
-    """Iterate r_{k+1} = r_k - (r_{k-1} - r_k) / s up to n_target.
-
-    The damping uses s_k = 2 + 20/3 exp(-k/2); the step producing r_{k+1}
-    reads s at k + 1.
+    The coefficients of A_n(x): Robinson's recurrence with (1+x)^{k(m-k)}
+    in place of 2^{k(m-k)}, since each possible arc out of the k sources
+    is present or not.  A_0 = 1.
     """
-    if not 0 < r_cur <= r_prev:
-        raise ValueError("need 0 < r_cur <= r_prev")
-    if n_target < n_cur:
-        raise ValueError("target below current index")
-    prev, cur = float(r_prev), float(r_cur)
-    for k in range(n_cur, n_target):
-        prev, cur = cur, cur - (prev - cur) / _s_coefficient(k + 1)
-    return cur
-
-
-def ratio_asymptote(r_prev: float, r_cur: float, n_cur: int) -> float:
-    """Limit of the extrapolated sequence (converged to double precision)."""
-    return extrapolate_ratio(r_prev, r_cur, n_cur, n_cur + 10_000)
-
-
-def gaussian_chi2(by_edges: Sequence[int]) -> float:
-    """Pearson distance, in proportion space, from a moment-matched Gaussian.
-
-    The observed vector is normalized; a normal density with the same mean
-    and variance is sampled at the integer bins and renormalized; bins with
-    model mass below 1e-12 are dropped from the sum.
-    """
-    v = [float(x) for x in by_edges]
-    if min(v) < 0:
-        raise ValueError("negative bin count")
-    total = math.fsum(v)
-    if total <= 0:
-        raise ValueError("empty distribution")
-    p = [x / total for x in v]
-    mean = math.fsum(e * pe for e, pe in enumerate(p))
-    var = math.fsum((e - mean) ** 2 * pe for e, pe in enumerate(p))
-    if var == 0.0:
-        raise ValueError("degenerate single-bin distribution")
-    q = [math.exp(-((e - mean) ** 2) / (2.0 * var)) for e in range(len(p))]
-    qsum = math.fsum(q)
-    q = [x / qsum for x in q]
-    return math.fsum((pe - qe) ** 2 / qe for pe, qe in zip(p, q) if qe > 1e-12)
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    a = [[1]]
+    for m in range(1, n + 1):
+        poly = [0] * (pair_count(m) + 1)
+        for k in range(1, m + 1):
+            arcs = k * (m - k)
+            scale = (-1) ** (k + 1) * comb(m, k)
+            for i, c in enumerate(a[m - k]):
+                for j in range(arcs + 1):
+                    poly[i + j] += scale * c * comb(arcs, j)
+        a.append(poly)
+    return a[n]

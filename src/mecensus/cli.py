@@ -16,14 +16,14 @@ from operator import attrgetter
 from pathlib import Path
 
 from . import catalog, oracles, reference
+from .analysis import extrapolate_ratio, ratio_asymptote
 from .census import (
     CensusWorkerError,
     SkeletonRecord,
     census,
-    extrapolate_ratio,
     iter_skeletons,
-    ratio_asymptote,
     robinson_adg_count,
+    robinson_adgs_by_edges,
 )
 from .graphs import MAX_VERTICES, pair_count
 from .markov import classify_skeleton
@@ -41,9 +41,8 @@ def _parse_edges(text: str, m: int) -> tuple[int, int]:
 
 
 def cmd_generate(args) -> int:
-    edges = _parse_edges(args.edges, pair_count(args.n)) if args.edges else None
     root = Path(args.graphs)
-    for e, layer in groupby(iter_skeletons(args.n, edges), key=attrgetter("graph.edge_count")):
+    for e, layer in groupby(iter_skeletons(args.n), key=attrgetter("graph.edge_count")):
         records = list(layer)
         path = catalog.catalog_path(root, args.n, e)
         catalog.write_catalog(path, args.n, e, records)
@@ -72,11 +71,6 @@ def _load_or_generate(n: int, graphs_dir: str | None,
 
 
 def cmd_census(args) -> int:
-    if args.size_cap is not None:
-        if args.size_cap < 1:
-            raise ValueError(f"--size-cap must be at least 1, got {args.size_cap}")
-        if args.format != "csv":
-            raise ValueError("--size-cap applies to the CSV tables; add --format csv")
     if args.format == "csv" and not args.out:
         raise ValueError("--format csv needs --out to place the sidecar files")
     if args.jobs < 1:
@@ -88,7 +82,7 @@ def cmd_census(args) -> int:
     if args.out:
         catalog.write_report(args.out, report, edges)
         if args.format == "csv":
-            for p in catalog.write_csv_sidecars(Path(args.out), report, args.size_cap):
+            for p in catalog.write_csv_sidecars(Path(args.out), report):
                 print(f"wrote {p}")
         print(f"wrote {args.out}")
     else:
@@ -104,6 +98,11 @@ def _verify_checks(n: int):
     robinson = robinson_adg_count(n)
     yield ("adg_total_vs_recurrence", report.total_adgs == robinson,
            f"expected {robinson}, got {report.total_adgs}")
+    by_edges = robinson_adgs_by_edges(n)
+    bad = [e for e, (got, want) in enumerate(zip(report.adgs_by_edges, by_edges)) if got != want]
+    yield ("adgs_by_edges_vs_recurrence", not bad,
+           f"first mismatch at e={bad[0]}: expected {by_edges[bad[0]]}, "
+           f"got {report.adgs_by_edges[bad[0]]}" if bad else "all layers agree")
 
     if n in reference.KNOWN_CLASS_COUNTS:
         want = reference.KNOWN_CLASS_COUNTS[n]
@@ -194,20 +193,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="write graph catalog files")
     p.add_argument("--n", type=int, required=True, choices=range(1, MAX_VERTICES + 1))
     p.add_argument("--graphs", default="graphs", help="catalog output directory")
-    p.add_argument("--edges", help="restrict to an edge count or range, e.g. 4 or 2..5")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("census", help="run a census and emit a report")
     p.add_argument("--n", type=int, required=True, choices=range(1, MAX_VERTICES + 1))
     p.add_argument("--edges", help="restrict to an edge count or range")
     p.add_argument("--jobs", type=int, default=1,
-                   help="slice count; at most one worker process per usable CPU")
+                   help="worker processes, one slice each; at most one per usable CPU")
     p.add_argument("--graphs", help="catalog directory to load instead of regenerating")
     p.add_argument("--out", help="report file path (default: print to stdout)")
     p.add_argument("--format", choices=("report", "csv"), default="report",
                    help="csv also writes by-edge/by-size/joint sidecar tables")
-    p.add_argument("--size-cap", type=int, dest="size_cap",
-                   help="largest class size exported to the CSV tables")
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("verify", help="run the oracle suite")

@@ -199,10 +199,3 @@ def classify_skeleton(g: Graph) -> SkeletonClassTable:
         classes={c >> n: counts[c] for c in sorted(counts)},
         total_orientations=sum(counts.values()),
     )
-
-
-def max_vconfig_prediction(n: int) -> int:
-    """(n-2)/2 * floor(n/2) * ceil(n/2); attained on balanced complete bipartite graphs."""
-    if n < 1:
-        raise ValueError("need at least one vertex")
-    return (n - 2) * (n // 2) * ((n + 1) // 2) // 2

@@ -12,16 +12,15 @@ from math import comb, factorial
 import pytest
 
 from mecensus import cli
-from mecensus.catalog import report_lines
-from mecensus.census import (
-    census,
+from mecensus.analysis import (
     extrapolate_ratio,
     gaussian_chi2,
     median_edge_count,
     median_edges_prediction,
     ratio_asymptote,
-    robinson_adg_count,
 )
+from mecensus.catalog import report_lines
+from mecensus.census import census, robinson_adg_count, robinson_adgs_by_edges
 from mecensus.graphs import complete_graph, encode, pair_count
 from mecensus.markov import classify_skeleton
 from mecensus.oracles import brute_force_census, chromatic_polynomial_at
@@ -88,6 +87,12 @@ def test_criterion_3_adg_totals(reports):
         assert robinson_adg_count(n) == brute_force_census(n).total_dags, f"n={n}"
     print(f"PASS criterion 3: ADG totals match the recurrence (n<={MAX_N}) "
           "and brute force (n<=4)")
+
+
+def test_adgs_by_edges_match_the_recurrence(reports):
+    for n in range(1, MAX_N + 1):
+        assert reports[n].adgs_by_edges == robinson_adgs_by_edges(n), f"n={n}"
+    print(f"PASS ADGs per edge count match Robinson's recurrence in (1+x) (n<={MAX_N})")
 
 
 def test_criterion_4_full_distribution_oracle(reports):
@@ -195,4 +200,5 @@ def test_extended_n8_census():
     assert r.max_vconfigs == KNOWN_MAX_VCONFIGS[8]
     assert r.max_classes_per_skeleton == KNOWN_MAX_CLASSES[8]
     assert matches_published_ratio(r.size1_ratio, KNOWN_SIZE1_RATIOS[8])
+    assert r.adgs_by_edges == robinson_adgs_by_edges(8)
     print(f"PASS extended: n=8 census matches the published values ({elapsed:.0f}s)")

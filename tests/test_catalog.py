@@ -13,15 +13,19 @@ from mecensus.catalog import (
 )
 from mecensus.census import census, iter_skeletons
 
-# SHA-256 of the n=6 sidecars (by_edges, by_size, joint), per --size-cap
-SIDECARS_N6_SHA256 = {
-    None: ("969f99b684464ddf7c4271fa9c1147dac2a802c7a4c392e72003573f3e3c2dcd",
-           "9103b6666ef9b6e34fa9a6346288f5b7f827fefcd897783aceb5e7caadd8ee99",
-           "703a12c2c26d8d21abaeed0b89a19afcb68ce428eaf6ed08aef899d4ccf37417"),
-    24: ("969f99b684464ddf7c4271fa9c1147dac2a802c7a4c392e72003573f3e3c2dcd",
-         "9bb30e93ee4c2c9be6af07c3aee1104dbc1a74f2e6d6162b9ddb5443cc5d67c7",
-         "8d678b7f5ae963a0a9734c74fe05b0f6b1891822fb6ff885ebdb2904ac4a767e"),
-}
+# SHA-256 of the n=6 sidecars (by_edges, by_size, joint)
+SIDECARS_N6_SHA256 = (
+    "969f99b684464ddf7c4271fa9c1147dac2a802c7a4c392e72003573f3e3c2dcd",
+    "9103b6666ef9b6e34fa9a6346288f5b7f827fefcd897783aceb5e7caadd8ee99",
+    "703a12c2c26d8d21abaeed0b89a19afcb68ce428eaf6ed08aef899d4ccf37417",
+)
+# SHA-256 of the same tables with the class sizes above 24 cut, header kept,
+# as the former `census --size-cap 24` wrote them
+SIDECARS_N6_SIZE_LE_24_SHA256 = (
+    "969f99b684464ddf7c4271fa9c1147dac2a802c7a4c392e72003573f3e3c2dcd",
+    "9bb30e93ee4c2c9be6af07c3aee1104dbc1a74f2e6d6162b9ddb5443cc5d67c7",
+    "8d678b7f5ae963a0a9734c74fe05b0f6b1891822fb6ff885ebdb2904ac4a767e",
+)
 
 
 def layer_records(n, e):
@@ -114,13 +118,16 @@ def test_report_lines_content():
 
 
 def test_csv_sidecars_and_size_cap(tmp_path):
+    # the tables are always whole: every class size, and no cap to ask for
     r = census(4)
     out = tmp_path / "report.txt"
     write_report(out, r)
-    paths = write_csv_sidecars(out, r, size_cap=3)
+    with pytest.raises(TypeError):
+        write_csv_sidecars(out, r, size_cap=3)
+    paths = write_csv_sidecars(out, r)
     by_size = next(p for p in paths if p.name.endswith("by_size.csv"))
     sizes = [int(line.split(",")[0]) for line in by_size.read_text().splitlines()[1:]]
-    assert sizes and max(sizes) <= 3
+    assert sizes == list(r.size_histogram)
     joint = next(p for p in paths if p.name.endswith("joint.csv"))
     assert joint.read_text().startswith("edge_count,class_size,classes\n")
     by_edges = next(p for p in paths if p.name.endswith("by_edges.csv"))
@@ -129,11 +136,20 @@ def test_csv_sidecars_and_size_cap(tmp_path):
 
 
 def test_csv_sidecar_bytes_are_pinned(tmp_path):
-    # every byte of all three tables, capped and not
-    r = census(6)
-    for cap, want in SIDECARS_N6_SHA256.items():
-        paths = write_csv_sidecars(tmp_path / f"cap{cap}.txt", r, size_cap=cap)
-        assert tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in paths) == want
+    # every byte of all three tables; cut to sizes <= 24 they are the capped
+    # tables, so the cap never held a number the full tables lack
+    paths = write_csv_sidecars(tmp_path / "r6.txt", census(6))
+    texts = [p.read_text() for p in paths]
+    sha = lambda text: hashlib.sha256(text.encode()).hexdigest()
+    assert tuple(sha(t) for t in texts) == SIDECARS_N6_SHA256
+
+    def at_most_24(text):
+        # the header, then the rows whose class_size (second-last) column is <= 24
+        header, *rows = text.splitlines(keepends=True)
+        return header + "".join(row for row in rows if int(row.split(",")[-2]) <= 24)
+
+    cut = [texts[0], at_most_24(texts[1]), at_most_24(texts[2])]
+    assert tuple(sha(t) for t in cut) == SIDECARS_N6_SIZE_LE_24_SHA256
 
 
 def test_failed_report_write_leaves_no_file(tmp_path, monkeypatch):

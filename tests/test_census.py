@@ -6,20 +6,23 @@ from fractions import Fraction
 
 import pytest
 
+from mecensus.analysis import (
+    extrapolate_ratio,
+    gaussian_chi2,
+    median_edge_count,
+    median_edges_prediction,
+    ratio_asymptote,
+)
 from mecensus.catalog import report_lines
 from mecensus.census import (
     CensusReport,
     _slices,
     census,
     census_skeletons,
-    extrapolate_ratio,
-    gaussian_chi2,
     iter_skeletons,
-    median_edge_count,
-    median_edges_prediction,
     merge,
-    ratio_asymptote,
     robinson_adg_count,
+    robinson_adgs_by_edges,
 )
 from mecensus.markov import classify_skeleton
 from mecensus.oracles import brute_force_census
@@ -82,12 +85,13 @@ def test_census_jobs_match_serial():
 
 def test_census_pool_never_exceeds_usable_cpus(monkeypatch):
     import concurrent.futures
-    sizes = []
+    pools = []
 
     class SerialPool:
-        # stands in for ProcessPoolExecutor: records its size, starts no process
+        # stands in for ProcessPoolExecutor: records its size and the slices
+        # it is handed, starts no process
         def __init__(self, max_workers):
-            sizes.append(max_workers)
+            self.max_workers = max_workers
 
         def __enter__(self):
             return self
@@ -95,15 +99,30 @@ def test_census_pool_never_exceeds_usable_cpus(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+        def map(self, fn, ns, slices):
+            slices = list(slices)
+            pools.append((self.max_workers, len(slices)))
+            return map(fn, ns, slices)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     serial = census(5)
-    for jobs in (1, 2, 8, 17):  # 17 slices of 34 skeletons, two each
+    for jobs in (1, 2, 8, 17):
         assert census(5, jobs=jobs) == serial
-    assert sizes == [2, 2, 2]
+    # two workers, one slice each, whatever jobs asks for above that
+    assert pools == [(2, 2), (2, 2), (2, 2)]
+
+
+def test_robinson_by_edges_small_values_and_totals():
+    # n=3: 1 empty, 6 single arcs, 12 two-arc paths and forks, 6 transitive triangles
+    assert robinson_adgs_by_edges(0) == [1]
+    assert robinson_adgs_by_edges(3) == [1, 6, 12, 6]
+    for n in range(13):
+        by_edges = robinson_adgs_by_edges(n)
+        assert len(by_edges) == n * (n - 1) // 2 + 1
+        assert sum(by_edges) == robinson_adg_count(n)
+    # the complete layer holds the n! transitive tournaments
+    assert robinson_adgs_by_edges(6)[-1] == math.factorial(6)
 
 
 def test_slices_deal_every_item_once():

@@ -86,6 +86,7 @@ def _die_in_worker(n, items):
 def test_census_worker_death_exits_2(capsys, monkeypatch):
     # module-level so the pool pickles it by name; forked workers see the patch
     monkeypatch.setattr(census, "_census_slice", _die_in_worker)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # two workers on any host
     code, _, err = run(capsys, "census", "--n", "4", "--jobs", "2")
     assert code == 2
     assert "error: census worker died" in err
@@ -105,7 +106,8 @@ def test_verify_and_chi2_run_without_numpy():
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     probe = ("import sys; sys.modules['numpy'] = None\n"
              "from mecensus import cli, oracles\n"
-             "from mecensus.census import census, gaussian_chi2\n"
+             "from mecensus.analysis import gaussian_chi2\n"
+             "from mecensus.census import census\n"
              "from mecensus.graphs import Graph\n"
              "assert cli.main(['verify', '--n', '4']) == 0\n"
              "assert oracles.is_canonical_exhaustive(Graph(4, 63))\n"
@@ -185,32 +187,22 @@ def test_census_csv_requires_out(capsys):
 def test_census_csv_sidecars(tmp_path, capsys):
     out = tmp_path / "rep.txt"
     code, stdout, _ = run(capsys, "census", "--n", "4", "--out", str(out),
-                          "--format", "csv", "--size-cap", "4")
+                          "--format", "csv")
     assert code == 0
     assert (tmp_path / "rep.txt.by_edges.csv").exists()
     assert (tmp_path / "rep.txt.by_size.csv").exists()
     assert (tmp_path / "rep.txt.joint.csv").exists()
 
 
-def test_census_rejects_size_cap_below_one(tmp_path, capsys):
-    for cap in ("0", "-1"):
-        out = tmp_path / f"cap{cap}.txt"
-        code, _, err = run(capsys, "census", "--n", "3", "--out", str(out),
-                           "--format", "csv", "--size-cap", cap)
-        assert code == 2
-        assert err.startswith("error:") and "--size-cap" in err
-        assert list(tmp_path.iterdir()) == []
-
-
-def test_census_rejects_size_cap_without_csv(tmp_path, capsys):
-    code, stdout, err = run(capsys, "census", "--n", "3", "--size-cap", "2")
-    assert code == 2
-    assert stdout == ""
-    assert err.startswith("error:") and "--format csv" in err
-    code, _, err = run(capsys, "census", "--n", "3", "--out", str(tmp_path / "r.txt"),
-                       "--size-cap", "2")
-    assert code == 2
-    assert err.startswith("error:")
+@pytest.mark.parametrize("argv", [("census", "--n", "3", "--size-cap", "2"),
+                                  ("generate", "--n", "3", "--edges", "3")])
+def test_output_filters_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
+    # every table and catalog layer is always written whole
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -276,6 +268,26 @@ def test_verify_catches_injected_labelling_fault(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+def test_verify_catches_an_adg_moved_between_layers(capsys, monkeypatch):
+    real = cli.census
+
+    def skewed(n, skeletons=None, jobs=1):
+        # the empty graph's one class moves to e=1: every total stays
+        report = real(n, skeletons, jobs)
+        report.joint[0, 1] -= 1
+        report.joint[1, 1] = report.joint.get((1, 1), 0) + 1
+        return report
+
+    monkeypatch.setattr(cli, "census", skewed)
+    code, out, _ = run(capsys, "verify", "--n", "4")
+    assert code == 1
+    lines = out.splitlines()
+    assert "ok   adg_total_vs_recurrence" in lines
+    assert "ok   class_total_vs_published" in lines
+    assert ("FAIL adgs_by_edges_vs_recurrence: first mismatch at e=0: expected 1, got 0"
+            in lines)
+
+
 def test_extrapolate_published_inputs(capsys):
     code, out, _ = run(capsys, "extrapolate", "--r-prev", "0.26888",
                        "--r-cur", "0.26799", "--n-cur", "10", "--n-target", "200")
@@ -291,6 +303,15 @@ def test_extrapolate_rejects_increasing_ratios(capsys):
                        "--r-cur", "0.3", "--n-cur", "10", "--n-target", "20")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("r_prev, r_cur", [("inf", "inf"), ("nan", "0.3"), ("2", "1.5")])
+def test_extrapolate_rejects_ratios_that_are_not_proportions(r_prev, r_cur, capsys):
+    code, out, err = run(capsys, "extrapolate", "--r-prev", r_prev,
+                         "--r-cur", r_cur, "--n-cur", "10", "--n-target", "12")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: need 0 < r_cur <= r_prev <= 1")
 
 
 def test_unknown_command_is_usage_error(capsys):

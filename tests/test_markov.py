@@ -3,8 +3,9 @@ import itertools
 
 import pytest
 
+from mecensus.analysis import max_vconfig_prediction
 from mecensus.graphs import Graph, complete_graph, encode
-from mecensus.markov import classify_skeleton, find_v_configurations, max_vconfig_prediction
+from mecensus.markov import classify_skeleton, find_v_configurations
 from mecensus.oracles import class_code, enumerate_acyclic_orientations
 from mecensus.orderly import canonicalize, generate_all
 
