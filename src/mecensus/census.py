@@ -9,11 +9,12 @@ commutatively, which is what makes worker partitioning safe.
 from __future__ import annotations
 
 import os
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Iterable
+from typing import Iterable, NoReturn
 
 from .graphs import Graph, pair_count
 from .markov import classify_skeleton, find_v_configurations
@@ -21,7 +22,7 @@ from .orderly import generate_all
 
 
 class CensusWorkerError(RuntimeError):
-    """A census worker process died before returning its slice."""
+    """A forked census child died before returning its slice."""
 
 
 @dataclass(frozen=True)
@@ -124,16 +125,16 @@ def census_skeletons(n: int, records: Iterable[SkeletonRecord]) -> CensusReport:
     vconfigs, classes = [], []
     for rec in records:
         g = rec.graph
-        table = classify_skeleton(g)
-        for size, cnt in Counter(table.classes.values()).items():
+        counts = classify_skeleton(g).counts  # unsorted: only the class sizes count here
+        for size, cnt in Counter(counts.values()).items():
             joint[g.edge_count, size] += rec.labellings * cnt
         vconfigs.append((len(find_v_configurations(g)), g.code))
-        classes.append((len(table.classes), g.code))
+        classes.append((len(counts), g.code))
     return _report(n, joint, vconfigs, classes)
 
 
-def _census_slice(n: int, items: list[tuple[int, int]]) -> CensusReport:
-    records = [SkeletonRecord(graph=Graph(n, code), labellings=lab) for code, lab in items]
+def _census_slice(n: int, records: list[SkeletonRecord]) -> CensusReport:
+    """The census a forked child runs on its slice."""
     return census_skeletons(n, records)
 
 
@@ -152,33 +153,90 @@ def census(n: int, skeletons: Iterable[SkeletonRecord] | None = None,
     """Census for n vertices over `skeletons`, every skeleton by default.
 
     An edge slice is census(n, iter_skeletons(n, edges)).  Identical output
-    for every job count: min(jobs, usable CPUs) worker processes each take
-    one slice of the skeletons, dealt round-robin; workers share nothing,
-    and merging is exact integer arithmetic, so neither the split nor the
-    merge order shows.
-    Raises CensusWorkerError if a worker process dies.
+    for every job count: the skeletons are dealt round-robin into
+    min(jobs, usable CPUs, skeletons) slices; the calling process takes
+    the first and a forked child each of the others.  Slices share
+    nothing, and merging is exact integer arithmetic, so neither the
+    split nor the merge order shows.
+    Raises CensusWorkerError if a child exits non-zero or dies from a
+    signal; on any error every child is killed and reaped.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     if skeletons is None:
         skeletons = iter_skeletons(n)
     skeletons = list(skeletons)
-    workers = min(jobs, len(os.sched_getaffinity(0)))
-    if workers == 1 or len(skeletons) < 2 * workers:
+    workers = min(jobs, len(os.sched_getaffinity(0)), len(skeletons))
+    if workers <= 1:
         return census_skeletons(n, skeletons)
-    # imported here: the pool machinery costs every CLI start, and only --jobs uses it
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+    own, *rest = _slices(skeletons, workers)
+    return _census_forked(n, own, rest)
 
-    slices = _slices([(r.graph.code, r.labellings) for r in skeletons], workers)
-    report = CensusReport(n)
+
+def _census_forked(n: int, own: list[SkeletonRecord],
+                   slices: list[list[SkeletonRecord]]) -> CensusReport:
+    """Census of `own` in this process and of each slice in a forked child.
+
+    Each child pickles its report into a pipe; they are read and merged
+    in slice order once this process has done its own slice.
+    """
+    import pickle  # only the fork path needs these; every CLI start would pay for them
+    import signal
+
+    pids: list[int | None] = []  # None once reaped
+    pipes: list[int] = []  # read ends, one per child
     try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_census_slice, [n] * workers, slices):
-                report = merge(report, part)
-    except BrokenProcessPool as exc:
-        raise CensusWorkerError(str(exc)) from exc
-    return report
+        for part in slices:
+            r, w = os.pipe()
+            pipes.append(r)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _run_child(n, part, w)
+                pids.append(pid)
+            finally:
+                os.close(w)  # so the read end sees EOF once the child closes its copy
+        report = census_skeletons(n, own)
+        for k, (pid, r) in enumerate(zip(pids, pipes)):
+            with open(r, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            pids[k] = None
+            code = os.waitstatus_to_exitcode(status)
+            if code < 0:
+                raise CensusWorkerError(f"worker {pid} was killed by signal {-code}")
+            if code:
+                raise CensusWorkerError(f"worker {pid} exited with status {code}")
+            report = merge(report, pickle.loads(data))
+        return report
+    finally:
+        for pid in pids:
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        for r in pipes:
+            os.close(r)
+
+
+def _run_child(n: int, records: list[SkeletonRecord], fd: int) -> NoReturn:
+    """A forked child's whole life: census its slice, pickle the report into fd.
+
+    It leaves by os._exit whatever happens, so it never returns into the
+    caller's code and runs none of the parent's exit handlers or buffer
+    flushes; a failure prints its traceback and exits with status 1.
+    """
+    status = 1
+    try:
+        import pickle
+        with open(fd, "wb") as out:
+            pickle.dump(_census_slice(n, records), out)
+        status = 0
+    except Exception:
+        import traceback
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(status)
 
 
 def robinson_adg_count(n: int) -> int:

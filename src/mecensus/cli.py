@@ -199,7 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, choices=range(1, MAX_VERTICES + 1))
     p.add_argument("--edges", help="restrict to an edge count or range")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes, one slice each; at most one per usable CPU")
+                   help="processes, one slice each: this one plus up to N-1 forked "
+                        "children; at most one per usable CPU")
     p.add_argument("--graphs", help="catalog directory to load instead of regenerating")
     p.add_argument("--out", help="report file path (default: print to stdout)")
     p.add_argument("--format", choices=("report", "csv"), default="report",

@@ -12,14 +12,18 @@ candidates for the next layer, with the same partial code, are merged
 and carried forward as one count.  A vertex whose neighbours are all
 placed must join the next layer, so it is placed at once and dropped from
 the state, and a walk whose last two vertices form one edge is tallied
-without further states.  The reference it is tested against,
-oracles.class_code over the streamed orientations, keys each finished
-orientation by testing its parent masks at every v-configuration instead.
+without further states.  The table it returns keeps the walk's codes
+unsorted: a census needs only how many classes of each size there are,
+so the codes are sorted only when a caller reads them.  The reference
+it is tested against, oracles.class_code over the listed orientations,
+keys each finished orientation by testing its parent masks at every
+v-configuration instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graphs import Graph, adjacency_masks
 
@@ -47,10 +51,24 @@ def find_v_configurations(g: Graph) -> list[tuple[int, int, int]]:
 
 @dataclass
 class SkeletonClassTable:
-    """Class code -> orientation count for one skeleton; codes ascending."""
+    """The orientation count of each class code of one skeleton.
 
-    classes: dict[int, int]
-    total_orientations: int
+    `counts` is the walk's own table, {code << n: count} in no particular
+    order; a census needs only its values and length.  `classes`, codes
+    ascending, is sorted from it on first read.
+    """
+
+    n: int
+    counts: dict[int, int]
+
+    @cached_property
+    def classes(self) -> dict[int, int]:
+        counts = self.counts
+        return {c >> self.n: counts[c] for c in sorted(counts)}
+
+    @property
+    def total_orientations(self) -> int:
+        return sum(self.counts.values())
 
 
 def classify_skeleton(g: Graph) -> SkeletonClassTable:
@@ -195,7 +213,4 @@ def classify_skeleton(g: Graph) -> SkeletonClassTable:
                         t |= c
                         counts[t] = counts.get(t, 0) + k
 
-    return SkeletonClassTable(
-        classes={c >> n: counts[c] for c in sorted(counts)},
-        total_orientations=sum(counts.values()),
-    )
+    return SkeletonClassTable(n, counts)

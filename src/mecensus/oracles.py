@@ -3,7 +3,7 @@
 Everything here is deliberately naive and shares nothing with the main
 pipeline beyond the graph coding: digraphs are enumerated pair by pair,
 canonical forms are taken over all n! permutations, acyclic orientations
-are streamed one edge direction at a time as per-vertex parent masks and
+are listed one edge direction at a time as per-vertex parent masks and
 keyed by the v-configurations whose two parents are both set, and acyclic
 orientation counts come from the chromatic polynomial.  Disagreement with
 the pipeline fails the build.
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
 
 from .graphs import Graph, apply_permutation, iter_pairs, pair_index
 
@@ -116,10 +115,10 @@ def is_canonical_exhaustive(g: Graph) -> bool:
                for perm in itertools.permutations(range(1, g.n + 1)))
 
 
-def enumerate_acyclic_orientations(g: Graph) -> Iterator[tuple[int, ...]]:
+def enumerate_acyclic_orientations(g: Graph) -> list[tuple[int, ...]]:
     """Every acyclic orientation of g exactly once, deterministic order.
 
-    Yields parent masks: entry v-1 has bit u-1 set iff the arc is u->v.
+    Lists parent masks: entry v-1 has bit u-1 set iff the arc is u->v.
     Depth-first over the edges from most to least significant, trying
     low-to-high before high-to-low; a direction u->v is pruned as soon as
     v already reaches u through the edges directed so far.
@@ -128,10 +127,11 @@ def enumerate_acyclic_orientations(g: Graph) -> Iterator[tuple[int, ...]]:
     n = g.n
     reach = [1 << v for v in range(n)]
     parents = [0] * n
+    out = []
 
-    def rec(k: int) -> Iterator[tuple[int, ...]]:
+    def rec(k: int) -> None:
         if k < 0:
-            yield tuple(parents)
+            out.append(tuple(parents))
             return
         i, j = edges[k]
         for u, v in ((i - 1, j - 1), (j - 1, i - 1)):
@@ -145,12 +145,13 @@ def enumerate_acyclic_orientations(g: Graph) -> Iterator[tuple[int, ...]]:
                     undo.append((w, rw))
                     reach[w] = rw | mv
             parents[v] |= 1 << u
-            yield from rec(k - 1)
+            rec(k - 1)
             parents[v] ^= 1 << u
             for w, rw in undo:
                 reach[w] = rw
 
-    return rec(len(edges) - 1)
+    rec(len(edges) - 1)
+    return out
 
 
 def class_code(parents: tuple[int, ...], vconfigs: list[tuple[int, int, int]]) -> int:

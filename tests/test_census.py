@@ -2,10 +2,12 @@ import hashlib
 import math
 import os
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+import mecensus.census as census_module
 from mecensus.analysis import (
     extrapolate_ratio,
     gaussian_chi2,
@@ -83,34 +85,37 @@ def test_census_jobs_match_serial():
     assert serial == parallel
 
 
-def test_census_pool_never_exceeds_usable_cpus(monkeypatch):
-    import concurrent.futures
-    pools = []
+def test_census_never_forks_more_than_usable_cpus(monkeypatch):
+    forks = []
+    real_fork = os.fork
 
-    class SerialPool:
-        # stands in for ProcessPoolExecutor: records its size and the slices
-        # it is handed, starts no process
-        def __init__(self, max_workers):
-            self.max_workers = max_workers
+    def counting_fork():
+        forks.append(jobs)
+        return real_fork()
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, ns, slices):
-            slices = list(slices)
-            pools.append((self.max_workers, len(slices)))
-            return map(fn, ns, slices)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "fork", counting_fork)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     serial = census(5)
     for jobs in (1, 2, 8, 17):
         assert census(5, jobs=jobs) == serial
-    # two workers, one slice each, whatever jobs asks for above that
-    assert pools == [(2, 2), (2, 2), (2, 2)]
+    # the caller takes one slice and one child the other, whatever jobs asks for above two
+    assert forks == [2, 8, 17]
+
+
+def test_census_kills_and_reaps_children_when_its_own_slice_raises(monkeypatch):
+    caller = os.getpid()
+
+    def fail_here_stall_in_children(n, records):
+        if os.getpid() == caller:
+            raise RuntimeError("own slice failed")
+        time.sleep(60)  # a child still running when the caller fails must be killed
+
+    monkeypatch.setattr(census_module, "census_skeletons", fail_here_stall_in_children)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    with pytest.raises(RuntimeError, match="own slice failed"):
+        census(5, jobs=3)
+    with pytest.raises(ChildProcessError):  # no child left, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_robinson_by_edges_small_values_and_totals():

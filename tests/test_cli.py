@@ -84,12 +84,28 @@ def _die_in_worker(n, items):
 
 
 def test_census_worker_death_exits_2(capsys, monkeypatch):
-    # module-level so the pool pickles it by name; forked workers see the patch
+    # forked children see the patch; the caller's own slice does not call it
     monkeypatch.setattr(census, "_census_slice", _die_in_worker)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # two workers on any host
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # one child on any host
     code, _, err = run(capsys, "census", "--n", "4", "--jobs", "2")
     assert code == 2
     assert "error: census worker died" in err
+
+
+def _raise_in_worker(n, records):
+    raise RuntimeError("slice failed on purpose")
+
+
+def test_census_worker_exception_exits_2_with_its_traceback(capfd, monkeypatch):
+    # the child's traceback goes to the inherited stderr file descriptor
+    monkeypatch.setattr(census, "_census_slice", _raise_in_worker)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    code = cli.main(["census", "--n", "4", "--jobs", "2"])
+    err = capfd.readouterr().err
+    assert code == 2
+    assert "error: census worker died" in err
+    assert "Traceback" in err
+    assert "RuntimeError: slice failed on purpose" in err
 
 
 def test_cli_import_leaves_numpy_out():
@@ -131,11 +147,17 @@ def test_package_import_loads_no_submodule():
 
 
 def test_cli_import_leaves_process_pool_out():
+    # pickle is loaded only by a forked census, and no census loads a process pool
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-    probe = "import sys, mecensus.cli; print('concurrent.futures.process' in sys.modules)"
+    probe = ("import os, sys, mecensus.cli\n"
+             "print('pickle' in sys.modules)\n"
+             "os.sched_getaffinity = lambda pid: {0, 1}\n"
+             "assert mecensus.cli.main(['census', '--n', '5', '--jobs', '2']) == 0\n"
+             "print('concurrent.futures' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+                         capture_output=True, text=True).stdout.splitlines()
+    assert out[0] == out[-1] == "False"
+    assert out.count("False") == 2  # the child flushed none of the caller's buffered output
 
 
 def test_census_from_catalogs_matches_regeneration(tmp_path, capsys):

@@ -132,7 +132,7 @@ def test_class_sizes_sum_to_orientation_count():
 
 
 def streamed_classes(g: Graph) -> dict[int, int]:
-    # reference tally: the public orientation stream keyed by class_code
+    # reference tally: the listed orientations keyed by class_code
     vcs = find_v_configurations(g)
     counts = {}
     for parents in enumerate_acyclic_orientations(g):

@@ -1,5 +1,5 @@
 """Property tests for the canonical search, against permutation brute force,
-for the orientation kernel, against the streaming enumerator, and for
+for the orientation kernel, against the orientation enumerator, and for
 report merging, against a census of the whole.
 
 Examples are derandomized and no example database is kept, so every run
