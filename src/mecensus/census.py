@@ -155,7 +155,8 @@ def census(n: int, skeletons: Iterable[SkeletonRecord] | None = None,
     An edge slice is census(n, iter_skeletons(n, edges)).  Identical output
     for every job count: the skeletons are dealt round-robin into
     min(jobs, usable CPUs, skeletons) slices; the calling process takes
-    the first and a forked child each of the others.  Slices share
+    the first and a forked child each of the others (os.fork, so a
+    caller with jobs > 1 must run no other threads).  Slices share
     nothing, and merging is exact integer arithmetic, so neither the
     split nor the merge order shows.
     Raises CensusWorkerError if a child exits non-zero or dies from a
