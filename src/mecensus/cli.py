@@ -135,16 +135,18 @@ def _verify_checks(n: int):
            "mismatches at " + ", ".join(f"e={e}: got {g}, want {w}" for e, g, w in bad[:3])
            if bad else "all layers sum to C(m, e)")
 
+    # per skeleton, the kernel's orientation total against each independent count
+    totals = [classify_skeleton(rec.graph).total_orientations for rec in records]
+    counters = [("orientation_count_vs_source_sets", oracles.acyclic_orientation_count)]
     if n <= 6:
-        mism = []
-        for rec in records:
-            want = abs(oracles.chromatic_polynomial_at(rec.graph, -1))
-            got = classify_skeleton(rec.graph).total_orientations
-            if want != got:
-                mism.append((rec.graph.code, want, got))
-        yield ("orientation_count_vs_chromatic", not mism,
-               f"first mismatch {mism[0]}" if mism else "all skeletons agree")
+        counters.append(("orientation_count_vs_chromatic",
+                         lambda g: abs(oracles.chromatic_polynomial_at(g, -1))))
+    for name, count in counters:
+        mism = [(rec.graph.code, want, got) for rec, got in zip(records, totals)
+                if (want := count(rec.graph)) != got]
+        yield (name, not mism, f"first mismatch {mism[0]}" if mism else "all skeletons agree")
 
+    if n <= 6:
         brute = oracles.brute_force_unlabeled(n)
         ours = sorted(rec.graph.code for rec in records)
         yield ("canonical_codes_vs_brute_force", brute == ours,

@@ -4,20 +4,22 @@ Two acyclic digraphs on the same skeleton are Markov equivalent iff they
 induce the same immoralities, so the set of immoralities present, written
 as a bitset over the skeleton's ordered v-configuration list, is a unique
 class key.  Classifying a skeleton means tallying its acyclic orientations
-per key.  classify_skeleton builds each orientation from its source layers
-(the sources, then the sources of what is left, and so on), so acyclicity
-holds by construction and a vertex's immoralities are read off when its
-layer is placed.  Partial orientations that leave the same vertices and
-candidates for the next layer, with the same partial code, are merged
-and carried forward as one count.  A vertex whose neighbours are all
-placed must join the next layer, so it is placed at once and dropped from
-the state, and a walk whose last two vertices form one edge is tallied
-without further states.  The table it returns keeps the walk's codes
-unsorted: a census needs only how many classes of each size there are,
-so the codes are sorted only when a caller reads them.  The reference
-it is tested against, oracles.class_code over the listed orientations,
-keys each finished orientation by testing its parent masks at every
-v-configuration instead.
+per key.  An acyclic orientation is a vertex order up to swapping
+neighbours in it that are not adjacent in the skeleton, and
+classify_skeleton builds only the lexicographically least order of each,
+its lexicographic normal form, one vertex per step: acyclicity holds by
+construction and a vertex's immoralities are read off when it is placed.
+What the least order allows next depends on the placed vertices and on
+F, the unplaced vertices that a larger vertex has passed over since their
+last neighbour was placed, so partial orientations with the same placed
+set, F and partial code are merged and carried forward as one count.
+Three exact shortcuts cut the walk short; classify_skeleton says why
+each is exact.  The table it returns keeps the walk's codes unsorted: a
+census needs only how many classes of each size there are, so the codes
+are sorted only when a caller reads them.  The reference it is tested
+against, oracles.class_codes over the listed orientations, keys each
+finished orientation by testing its parent masks at every v-configuration
+instead.
 """
 
 from __future__ import annotations
@@ -74,50 +76,52 @@ class SkeletonClassTable:
 def classify_skeleton(g: Graph) -> SkeletonClassTable:
     """Group the acyclic orientations of g by class code.
 
-    Each orientation is enumerated once, by its source layers: S1 is the
-    set of sources, S2 the sources once S1 is removed, and so on.  Every
-    layer is a nonempty independent set, every vertex of S(i+1) has a
-    neighbour in S(i), and every edge points from its earlier layer to its
-    later one; conversely each such sequence of layers covering all
-    vertices is the layering of exactly one acyclic orientation, so no
-    reachability test is needed.
+    An acyclic orientation is the set of vertex orders in which every edge
+    points from its earlier end to its later one; any two of them differ
+    by swapping, one step at a time, neighbours in the order that are not
+    adjacent in g.  The walk builds one order per orientation, the least
+    (its lexicographic normal form, after Anisimov and Knuth): an order is
+    least iff it never places a vertex u after a larger vertex b when u is
+    adjacent neither to b nor to anything placed between them.  So the
+    walk keeps F, the unplaced vertices that some larger vertex has passed
+    over since their last neighbour was placed.  v may come next iff v is
+    not in F, and then F' = ((F | {u < v}) & ~N(v)) & rest, where rest is
+    what is left unplaced.
 
-    What can follow a partial layering depends only on its state
-    (remaining vertices, candidates = remaining & N(last layer)), since the
-    placed vertices are the complement of the remaining ones.  So the walk
-    is one forward pass over the remaining masks in descending order,
-    which is safe because a layer only removes vertices, so every
-    predecessor of a state has a larger mask and is finished first.
-    states[remaining] maps code << n | candidates to the number of
-    partial orientations with that partial code, and each entry tries
-    every independent subset of its candidates as the next layer.
+    What can follow depends only on the placed mask and F, and a step only
+    adds to the placed mask, so the walk is one forward pass over the
+    placed masks in ascending order, each finished before any of its
+    successors.  states[placed] maps code << n | F to the number of
+    partial orientations with that partial code.
 
     A v-configuration (a, b, c) is an immorality iff a and c are both
     placed before b, so placing b ORs in imm[b][placed & N(b)], a table
-    over the subsets of N(b), read once per vertex and remaining mask.
+    over the subsets of N(b), read once per vertex and placed mask.
     Tables over all vertex subsets hold each set's neighbourhood union,
-    its lone vertices (those with no neighbour inside the set) and, for an
-    independent set as the last layer, the code of all its
-    v-configurations (sink).
+    its lone vertices (those with no neighbour inside the set) and the
+    code of the v-configurations centred in it (sink), which an independent
+    set placed last realizes in full.
 
-    No remaining set has a lone vertex, so every vertex left can still
-    get a parent.  Isolated vertices are all sources and carry no code, so
-    they are stripped before the walk starts.  After a layer, a lone
-    vertex of the rest has all its neighbours placed, at least one in the
-    layer just placed; it must join the very next layer, and its code
-    bits, its sink bits, are final.  So these stranded vertices are
-    stripped at once: their bits go into the code, and they leave the
-    remaining and the candidate masks, which merges states that differ
-    only in them.  The rest left has no lone vertex again.  When no
-    candidate remains besides them, nothing can follow the next layer and
-    the walk ends there.  A rest that is independent is the last layer and
-    is tallied at once.  A stripped rest of two vertices is one edge
-    {x, y}: each of x, y that is a candidate ends the orientation pointing
-    at the other, so those codes are tallied at once too.
+    Three shortcuts, each exact:
+    - A lone vertex of rest has all its neighbours placed, so once in F it
+      stays there and is never placed: a state whose F meets lone[rest]
+      has no completion.  No such state is made, because of the next
+      shortcut.  Isolated vertices are lone from the start and carry no
+      code, so they are placed before the walk begins.
+    - The next vertex is at most the lowest lone vertex w of the unplaced
+      set, since any larger one passes over w.  Then a step puts no lone
+      vertex into F, and a vertex of F that the step leaves lone is a
+      neighbour of the vertex placed, which drops it from F.
+    - An independent rest is all lone, so its F is empty and its only
+      completion places it in ascending order, adding sink[rest]: it is
+      tallied at once.
+    A rest of two vertices is one edge {x, y}: x first is allowed iff x
+    is not in F, y first iff y is not, and either order ends the walk,
+    so those codes are tallied at once too.
     """
     n = g.n
     adj = adjacency_masks(g)
-    # code bits sit above the n candidate bits of a state key: bit n + i is vconfig i
+    # code bits sit above the n F bits of a state key: bit n + i is vconfig i
     sites: list[dict[int, int]] = [{} for _ in range(n)]  # per centre: {a, c} mask -> code bit
     for i, (a, b, c) in enumerate(find_v_configurations(g), n):
         sites[b - 1][1 << (a - 1) | 1 << (c - 1)] = 1 << i
@@ -137,21 +141,15 @@ def classify_skeleton(g: Graph) -> SkeletonClassTable:
         imm.append(t)
 
     size = 1 << n
-    nbr = [0] * size
-    lone = [0] * size  # the vertices of s with no neighbour in s; s is independent iff lone[s] == s
-    sink = [0] * size  # independent s as the last layer: all its v-configurations
-    members: list[tuple[int, ...]] = [()] * size  # the vertices of independent s
-    for s in range(1, size):
-        low = s & -s
-        v = low.bit_length() - 1
-        r = s ^ low
-        nbr[s] = nbr[r] | adj[v]
-        lone[s] = s & ~nbr[s]
-        if lone[s] == s:
-            sink[s] = sink[r] | imm[v][adj[v]]
-            members[s] = members[r] + (v,)
+    nbr = [0]  # per vertex set: its neighbourhood union
+    sink = [0]  # per vertex set placed last: the v-configurations centred in it
+    for v in range(n):
+        a, t = adj[v], imm[v][adj[v]]
+        nbr += [x | a for x in nbr]
+        sink += [x | t for x in sink]
+    lone = [s & ~x for s, x in enumerate(nbr)]  # s is independent iff lone[s] == s
 
-    # an edge {x, y} left last, per candidate set: the codes of x then y, of y then x
+    # an edge {x, y} left last, per F: the codes of the orders that F allows
     tails: list[dict[int, tuple[int, ...]] | None] = [None] * size
     for x in range(n):
         for y in range(x + 1, n):
@@ -159,58 +157,56 @@ def classify_skeleton(g: Graph) -> SkeletonClassTable:
             if adj[x] & by:
                 xy = imm[x][adj[x] ^ by] | imm[y][adj[y]]
                 yx = imm[y][adj[y] ^ bx] | imm[x][adj[x]]
-                tails[bx | by] = {bx: (xy,), by: (yx,), bx | by: (xy, yx)}
-
-    layers: dict[int, list[tuple]] = {}
-
-    def options(cand: int) -> list[tuple]:
-        out = layers[cand] = []
-        s = cand
-        while s:
-            if lone[s] == s:
-                out.append((s, nbr[s], members[s]))
-            s = (s - 1) & cand
-        return out
+                tails[bx | by] = {0: (xy, yx), bx: (yx,), by: (xy,), bx | by: ()}
 
     full = size - 1
+    high = ~full  # the code bits of a state key
     counts: dict[int, int] = {}  # code << n -> orientation count
-    # per remaining mask: {code << n | candidates: orientation count}
+    # per placed mask: {code << n | F: orientation count}
     states: list[dict[int, int]] = [{} for _ in range(size)]
-    start = full ^ lone[full]  # isolated vertices join the first layer and add no code bits
-    if start:
-        states[start][start] = 1
-    else:
+    start = lone[full]  # isolated vertices go first and add no code bits
+    if start == full:
         counts[0] = 1
-    for remaining in range(start, 0, -1):
-        entries = states[remaining]
+    else:
+        states[start][0] = 1
+    for placed in range(start, full):
+        entries = states[placed]
         if not entries:
             continue
-        placed = full ^ remaining
-        gain = [imm[v][placed & adj[v]] for v in range(n)]  # the bits placing v next adds
-        for key, k in entries.items():
-            cand = key & full
-            key ^= cand
-            for s, ns, vs in layers.get(cand) or options(cand):
-                rest = remaining ^ s
-                stranded = lone[rest]
-                c = key | sink[stranded]
-                for v in vs:
-                    c |= gain[v]
-                if stranded == rest:
-                    counts[c] = counts.get(c, 0) + k
-                    continue
-                nc = (rest & ns) ^ stranded
-                if not nc:
-                    continue  # the next layer would be the stranded vertices alone
-                rest ^= stranded
-                tail = tails[rest]
-                if tail is None:
-                    out = states[rest]
-                    c |= nc
-                    out[c] = out.get(c, 0) + k
-                else:
-                    for t in tail[nc]:
-                        t |= c
-                        counts[t] = counts.get(t, 0) + k
+        remaining = full ^ placed
+        cand = remaining
+        w = lone[remaining] & -lone[remaining]
+        if w:
+            cand &= (w << 1) - 1  # passing over a vertex with no neighbour left strands it
+        items = entries.items()
+        while cand:
+            bv = cand & -cand
+            cand ^= bv
+            v = bv.bit_length() - 1
+            rest = remaining ^ bv
+            keep = rest & ~adj[v]  # F survives only away from v
+            passed = (bv - 1) & keep
+            gain = imm[v][placed & adj[v]]
+            tail = tails[rest]
+            if lone[rest] == rest:
+                gain |= sink[rest]
+                for key, k in items:
+                    if not key & bv:
+                        c = key & high | gain
+                        counts[c] = counts.get(c, 0) + k
+            elif tail is None:
+                out = states[placed | bv]
+                clear = ~(full ^ keep)  # keeps the code bits and the F bits in keep
+                gain |= passed
+                for key, k in items:
+                    if not key & bv:
+                        c = key & clear | gain
+                        out[c] = out.get(c, 0) + k
+            else:
+                for key, k in items:
+                    if not key & bv:
+                        for t in tail[key & keep | passed]:
+                            t |= key & high | gain
+                            counts[t] = counts.get(t, 0) + k
 
     return SkeletonClassTable(n, counts)

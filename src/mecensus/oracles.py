@@ -5,8 +5,9 @@ pipeline beyond the graph coding: digraphs are enumerated pair by pair,
 canonical forms are taken over all n! permutations, acyclic orientations
 are listed one edge direction at a time as per-vertex parent masks and
 keyed by the v-configurations whose two parents are both set, and acyclic
-orientation counts come from the chromatic polynomial.  Disagreement with
-the pipeline fails the build.
+orientation counts come from the chromatic polynomial and from
+inclusion-exclusion over source sets.  Disagreement with the pipeline
+fails the build.
 """
 
 from __future__ import annotations
@@ -154,14 +155,48 @@ def enumerate_acyclic_orientations(g: Graph) -> list[tuple[int, ...]]:
     return out
 
 
-def class_code(parents: tuple[int, ...], vconfigs: list[tuple[int, int, int]]) -> int:
-    """Bit i set iff vconfigs[i] is oriented as an immorality (a->b<-c)."""
-    code = 0
-    for k, (a, b, c) in enumerate(vconfigs):
-        pb = parents[b - 1]
-        if pb >> (a - 1) & 1 and pb >> (c - 1) & 1:
-            code |= 1 << k
-    return code
+def class_codes(orientations: list[tuple[int, ...]],
+                vconfigs: list[tuple[int, int, int]]) -> list[int]:
+    """Per parent-mask tuple, bit i set iff vconfigs[i] is oriented as a->b<-c.
+
+    Each v-configuration becomes one (centre, two-parent mask) pair, once
+    per call, and is an immorality iff the centre's parent mask holds both.
+    """
+    sites = [(b - 1, 1 << (a - 1) | 1 << (c - 1), 1 << k)
+             for k, (a, b, c) in enumerate(vconfigs)]
+    out = []
+    for parents in orientations:
+        code = 0
+        for b, pair, bit in sites:
+            if parents[b] & pair == pair:
+                code |= bit
+        out.append(code)
+    return out
+
+
+def acyclic_orientation_count(g: Graph) -> int:
+    """Acyclic orientations of g, by inclusion-exclusion over source sets.
+
+    The sources of an acyclic orientation of the subgraph on U form a
+    nonempty independent set S, and forcing S to be sources leaves any
+    acyclic orientation of U - S; so a(U) is the sum over the nonempty
+    independent S within U of (-1)^(|S|+1) a(U - S), and a(empty) = 1.
+    The independent subsets of each U are listed from those of U minus
+    its lowest vertex.
+    """
+    nbrs = [0] * g.n
+    for i, j in g.edges():
+        nbrs[i - 1] |= 1 << (j - 1)
+        nbrs[j - 1] |= 1 << (i - 1)
+    indep = [[0]]  # indep[u]: the independent subsets of u, the empty set first
+    a = [1]
+    for u in range(1, 1 << g.n):
+        low = u & -u
+        r = u ^ low
+        sets = indep[r] + [s | low for s in indep[r & ~nbrs[low.bit_length() - 1]]]
+        indep.append(sets)
+        a.append(sum(a[u ^ s] if s.bit_count() & 1 else -a[u ^ s] for s in sets[1:]))
+    return a[-1]
 
 
 def chromatic_polynomial_at(g: Graph, x: int) -> int:

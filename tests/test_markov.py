@@ -1,12 +1,13 @@
 import hashlib
 import itertools
+from collections import Counter
 
 import pytest
 
 from mecensus.analysis import max_vconfig_prediction
 from mecensus.graphs import Graph, complete_graph, encode
 from mecensus.markov import classify_skeleton, find_v_configurations
-from mecensus.oracles import class_code, enumerate_acyclic_orientations
+from mecensus.oracles import class_codes, enumerate_acyclic_orientations
 from mecensus.orderly import canonicalize, generate_all
 
 
@@ -60,7 +61,8 @@ def test_v_configuration_order_and_bound():
 def test_class_code_on_path():
     g = Graph(3, 6)  # edges (1,3),(2,3); the only v-configuration centers on 3
     vcs = find_v_configurations(g)
-    codes = {p: class_code(p, vcs) for p in enumerate_acyclic_orientations(g)}
+    orientations = enumerate_acyclic_orientations(g)
+    codes = dict(zip(orientations, class_codes(orientations, vcs)))
     assert len(codes) == 4
     assert codes[(0, 0, 0b011)] == 1  # 1->3<-2: both arrows into the center
     assert codes[(0, 0b100, 0b001)] == 0  # 1->3->2
@@ -70,8 +72,7 @@ def test_class_code_on_path():
 def test_class_code_zero_on_complete_graph():
     g = complete_graph(3)
     vcs = find_v_configurations(g)
-    for parents in enumerate_acyclic_orientations(g):
-        assert class_code(parents, vcs) == 0
+    assert class_codes(enumerate_acyclic_orientations(g), vcs) == [0] * 6
 
 
 def test_classify_path3():
@@ -113,8 +114,8 @@ def test_codes_and_immorality_sets_partition_identically():
                 vcs = find_v_configurations(g)
                 code_to_sets = {}
                 set_to_codes = {}
-                for parents in enumerate_acyclic_orientations(g):
-                    c = class_code(parents, vcs)
+                orientations = enumerate_acyclic_orientations(g)
+                for parents, c in zip(orientations, class_codes(orientations, vcs)):
                     s = immorality_set(g, parents)
                     code_to_sets.setdefault(c, set()).add(s)
                     set_to_codes.setdefault(s, set()).add(c)
@@ -132,13 +133,9 @@ def test_class_sizes_sum_to_orientation_count():
 
 
 def streamed_classes(g: Graph) -> dict[int, int]:
-    # reference tally: the listed orientations keyed by class_code
-    vcs = find_v_configurations(g)
-    counts = {}
-    for parents in enumerate_acyclic_orientations(g):
-        c = class_code(parents, vcs)
-        counts[c] = counts.get(c, 0) + 1
-    return dict(sorted(counts.items()))
+    # reference tally: the listed orientations keyed by class_codes
+    codes = class_codes(enumerate_acyclic_orientations(g), find_v_configurations(g))
+    return dict(sorted(Counter(codes).items()))
 
 
 def test_classify_matches_streaming_reference():
@@ -160,7 +157,8 @@ def test_n8_class_tables_sample_is_pinned():
         table = classify_skeleton(g)
         digest.update(repr((g.code, list(table.classes.items()),
                             table.total_orientations)).encode())
-    # as the recursive source-layer walk that the state pass replaced gave it
+    # as the recursive source-layer walk and the source-layer state pass gave
+    # it, before the walk placed one vertex per step
     assert digest.hexdigest() == (
         "f7b1699d76b86f9acd11d1b52b420f82f1fd84b455a20f2c0e1eedd4a6f1a272")
 
@@ -177,8 +175,9 @@ def test_edgeless_graphs_have_one_empty_orientation():
 
 
 def test_disconnected_graphs_match_streaming_reference():
-    # isolated vertices must all sit in the first layer; a remainder can be
-    # independent without touching the last layer placed
+    # isolated vertices are placed before the walk and every other lone vertex
+    # caps the next one; a rest can be independent without touching the
+    # vertex just placed
     cases = [
         encode({(1, 2)}, 4),  # one edge, two isolated vertices
         encode({(1, 2), (3, 4)}, 5),  # two edges and an isolated vertex
@@ -193,9 +192,53 @@ def test_disconnected_graphs_match_streaming_reference():
         assert list(table.classes) == list(stream)
 
 
+def components(g: Graph) -> list[Graph]:
+    # each connected component of g, its vertices relabelled 1..k in order
+    edges = g.edges()
+    left = set(range(1, g.n + 1))
+    out = []
+    while left:
+        part = {min(left)}
+        grown = True
+        while grown:
+            grown = False
+            for i, j in edges:
+                if (i in part) != (j in part):
+                    part |= {i, j}
+                    grown = True
+        left -= part
+        label = {v: k for k, v in enumerate(sorted(part), 1)}
+        out.append(encode({(label[i], label[j]) for i, j in edges if i in part}, len(part)))
+    return out
+
+
+def test_disconnected_class_sizes_are_products_of_component_sizes():
+    # a class of a disjoint union picks one class per component, so its size is
+    # the product of theirs; every disconnected skeleton up to n=7
+    disconnected = 0
+    for n in range(2, 8):
+        for layer in generate_all(n):
+            for g in layer.graphs:
+                parts = components(g)
+                if len(parts) == 1:
+                    continue
+                disconnected += 1
+                want = Counter({1: 1})
+                for part in parts:
+                    sizes = Counter(classify_skeleton(part).counts.values())
+                    prod = Counter()
+                    for s, a in want.items():
+                        for t, b in sizes.items():
+                            prod[s * t] += a * b
+                    want = prod
+                assert Counter(classify_skeleton(g).counts.values()) == want, g
+    assert disconnected == 1 + 2 + 5 + 13 + 44 + 191
+
+
 def test_stranded_vertices_and_two_vertex_tails_match_streaming_reference():
-    # a layer strands a vertex whose neighbours are all placed while an edge
-    # is still left, and many walks end on a single edge; 8-12 vertices
+    # a step strands a vertex whose neighbours are all placed while an edge
+    # is still left, which caps the next vertex, and many walks end on a
+    # single edge; 8-12 vertices
     matching = encode({(2 * i - 1, 2 * i) for i in range(1, 7)}, 12)
     cases = [
         star_graph(9),  # K_{1,9}
@@ -223,7 +266,7 @@ def test_complete_bipartite_matches_streaming_reference():
 
 
 def test_twelve_layer_path_and_cycle():
-    # one vertex per layer at the deepest: 12 layers
+    # 12 vertices placed one per step, on a path and on a cycle
     for g, total in ((path_graph(12), 2 ** 11), (cycle_graph(12), 2 ** 12 - 2)):
         table = classify_skeleton(g)
         assert table.total_orientations == total

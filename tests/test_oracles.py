@@ -1,8 +1,10 @@
 import pytest
 
-from mecensus.census import census
+from mecensus.census import census, iter_skeletons
 from mecensus.graphs import complete_graph, empty_graph, encode
+from mecensus.markov import classify_skeleton
 from mecensus.oracles import (
+    acyclic_orientation_count,
     brute_force_census,
     brute_force_unlabeled,
     chromatic_polynomial_at,
@@ -70,3 +72,22 @@ def test_chromatic_polynomial_complete_graphs():
             for k in range(n):
                 want *= x - k
             assert chromatic_polynomial_at(complete_graph(n), x) == want
+
+
+def test_acyclic_orientation_count_examples():
+    assert acyclic_orientation_count(empty_graph(5)) == 1
+    c4 = encode({(1, 2), (2, 3), (3, 4), (1, 4)}, 4)
+    assert acyclic_orientation_count(c4) == 14
+    for n in (1, 2, 3, 4, 5):
+        assert acyclic_orientation_count(complete_graph(n)) == abs(
+            chromatic_polynomial_at(complete_graph(n), -1))
+    path = encode({(v, v + 1) for v in range(1, 8)}, 8)
+    assert acyclic_orientation_count(path) == 2 ** 7
+
+
+def test_acyclic_orientation_count_matches_kernel_totals_up_to_n7():
+    # per skeleton, against the orientation kernel's tally
+    for n in range(1, 8):
+        for rec in iter_skeletons(n):
+            g = rec.graph
+            assert acyclic_orientation_count(g) == classify_skeleton(g).total_orientations, g

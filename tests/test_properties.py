@@ -1,12 +1,13 @@
 """Property tests for the canonical search, against permutation brute force,
-for the orientation kernel, against the orientation enumerator, and for
-report merging, against a census of the whole.
+for the orientation kernel, against the orientation enumerator and under
+relabelling, and for report merging, against a census of the whole.
 
 Examples are derandomized and no example database is kept, so every run
 checks the same graphs.
 """
 
 import itertools
+from collections import Counter
 from math import factorial
 
 from hypothesis import given, settings
@@ -35,6 +36,16 @@ def graphs(draw, max_n):
 def relabelled(draw, max_n):
     g = draw(graphs(max_n))
     return g, draw(st.permutations(range(1, g.n + 1)))
+
+
+@st.composite
+def relabelled_coin_flips(draw, min_n, max_n):
+    # each pair an edge by its own coin flip: random codes above are mostly
+    # sparse, and the kernel's work peaks near half the pairs
+    n = draw(st.integers(min_n, max_n))
+    flips = draw(st.lists(st.booleans(), min_size=pair_count(n), max_size=pair_count(n)))
+    g = Graph(n, sum(1 << i for i, edge in enumerate(flips) if edge))
+    return g, draw(st.permutations(range(1, n + 1)))
 
 
 @PROPERTY
@@ -74,6 +85,16 @@ def test_classify_matches_streaming_on_labelled_graphs(g):
     assert table.classes == stream
     assert list(table.classes) == list(stream)
     assert table.total_orientations == sum(stream.values())
+
+
+@settings(PROPERTY, max_examples=100)
+@given(relabelled_coin_flips(min_n=5, max_n=9))
+def test_class_sizes_ignore_relabelling(case):
+    # the walk's normal form depends on the labels; the class sizes must not,
+    # and past n=7 there is no streaming reference to hold them to
+    g, perm = case
+    sizes = Counter(classify_skeleton(g).counts.values())
+    assert Counter(classify_skeleton(apply_permutation(g, perm)).counts.values()) == sizes
 
 
 @PROPERTY
