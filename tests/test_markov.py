@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import os
 from collections import Counter
 
 import pytest
@@ -7,7 +8,11 @@ import pytest
 from mecensus.analysis import max_vconfig_prediction
 from mecensus.graphs import Graph, complete_graph, encode
 from mecensus.markov import classify_skeleton, find_v_configurations
-from mecensus.oracles import class_codes, enumerate_acyclic_orientations
+from mecensus.oracles import (
+    acyclic_orientation_count,
+    class_codes,
+    enumerate_acyclic_orientations,
+)
 from mecensus.orderly import canonicalize, generate_all
 
 
@@ -212,27 +217,41 @@ def components(g: Graph) -> list[Graph]:
     return out
 
 
-def test_disconnected_class_sizes_are_products_of_component_sizes():
+def component_products_hold(n: int) -> int:
     # a class of a disjoint union picks one class per component, so its size is
-    # the product of theirs; every disconnected skeleton up to n=7
+    # the product of theirs; checks every disconnected skeleton on n vertices
+    # and returns how many there are
     disconnected = 0
-    for n in range(2, 8):
-        for layer in generate_all(n):
-            for g in layer.graphs:
-                parts = components(g)
-                if len(parts) == 1:
-                    continue
-                disconnected += 1
-                want = Counter({1: 1})
-                for part in parts:
-                    sizes = Counter(classify_skeleton(part).counts.values())
-                    prod = Counter()
-                    for s, a in want.items():
-                        for t, b in sizes.items():
-                            prod[s * t] += a * b
-                    want = prod
-                assert Counter(classify_skeleton(g).counts.values()) == want, g
-    assert disconnected == 1 + 2 + 5 + 13 + 44 + 191
+    for layer in generate_all(n):
+        for g in layer.graphs:
+            parts = components(g)
+            if len(parts) == 1:
+                continue
+            disconnected += 1
+            want = Counter({1: 1})
+            for part in parts:
+                sizes = Counter(classify_skeleton(part).counts.values())
+                prod = Counter()
+                for s, a in want.items():
+                    for t, b in sizes.items():
+                        prod[s * t] += a * b
+                want = prod
+            assert Counter(classify_skeleton(g).counts.values()) == want, g
+    return disconnected
+
+
+def test_disconnected_class_sizes_are_products_of_component_sizes():
+    assert [component_products_hold(n) for n in range(2, 8)] == [1, 2, 5, 13, 44, 191]
+
+
+@pytest.mark.extended
+@pytest.mark.skipif(not os.environ.get("MECENSUS_EXTENDED"),
+                    reason="set MECENSUS_EXTENDED=1 for the n=8 sweeps")
+def test_extended_n8_component_products_and_orientation_counts():
+    assert component_products_hold(8) == 1229
+    for layer in generate_all(8):
+        for g in layer.graphs:
+            assert acyclic_orientation_count(g) == classify_skeleton(g).total_orientations, g
 
 
 def test_stranded_vertices_and_two_vertex_tails_match_streaming_reference():
