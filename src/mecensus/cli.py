@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
+from functools import reduce
 from itertools import groupby
 from math import comb
 from operator import attrgetter
@@ -19,14 +20,16 @@ from . import catalog, oracles, reference
 from .analysis import extrapolate_ratio, ratio_asymptote
 from .census import (
     CensusWorkerError,
+    CensusReport,
     SkeletonRecord,
     census,
+    census_skeletons,
     iter_skeletons,
+    merge,
     robinson_adg_count,
     robinson_adgs_by_edges,
 )
 from .graphs import MAX_VERTICES, pair_count
-from .markov import classify_skeleton
 
 
 def _parse_edges(text: str, m: int) -> tuple[int, int]:
@@ -90,10 +93,30 @@ def cmd_census(args) -> int:
     return 0
 
 
+def _census_per_skeleton(n: int, records: list[SkeletonRecord]) -> tuple[CensusReport, list[int]]:
+    """The census of `records` and each skeleton's orientation total, in record order.
+
+    Each skeleton is its own census_skeletons part, whose ADGs are its
+    orientations times its labellings.  Parts merge within their edge
+    layer and are dropped, then the layers merge: merge is exact, so the
+    report equals census(n, records), and every merge stays small.
+    """
+    layers, totals = [], []
+    for _, layer in groupby(records, key=attrgetter("graph.edge_count")):
+        layer = list(layer)
+        parts = [census_skeletons(n, [rec]) for rec in layer]
+        totals += [part.total_adgs // rec.labellings for rec, part in zip(layer, parts)]
+        layers.append(reduce(merge, parts))
+    return reduce(merge, layers), totals
+
+
 def _verify_checks(n: int):
-    """Yield (name, ok, detail) for every oracle applicable at this n."""
+    """Yield (name, ok, detail) for every oracle applicable at this n.
+
+    Each skeleton is classified once, through census_skeletons.
+    """
     records = list(iter_skeletons(n))
-    report = census(n, skeletons=records)
+    report, totals = _census_per_skeleton(n, records)
 
     robinson = robinson_adg_count(n)
     yield ("adg_total_vs_recurrence", report.total_adgs == robinson,
@@ -128,15 +151,12 @@ def _verify_checks(n: int):
                f"expected {want}, got {len(records)}")
 
     m = pair_count(n)
-    sums = [(e, sum(r.labellings for r in recs))
-            for e, recs in groupby(records, key=attrgetter("graph.edge_count"))]
-    bad = [(e, got, comb(m, e)) for e, got in sums if got != comb(m, e)]
+    bad = [(e, got, want) for e, recs in groupby(records, key=attrgetter("graph.edge_count"))
+           if (got := sum(r.labellings for r in recs)) != (want := comb(m, e))]
     yield ("labelled_graphs_per_layer", not bad,
            "mismatches at " + ", ".join(f"e={e}: got {g}, want {w}" for e, g, w in bad[:3])
            if bad else "all layers sum to C(m, e)")
 
-    # per skeleton, the kernel's orientation total against each independent count
-    totals = [classify_skeleton(rec.graph).total_orientations for rec in records]
     counters = [("orientation_count_vs_source_sets", oracles.acyclic_orientation_count)]
     if n <= 6:
         counters.append(("orientation_count_vs_chromatic",

@@ -211,6 +211,11 @@ def test_extrapolate_published_inputs_reach_the_asymptote():
     assert float(f"{a:.3g}") == 0.267
 
 
+def test_extrapolate_to_a_far_target_stops_at_the_fixed_point():
+    far = extrapolate_ratio(0.26888, 0.26799, 10, 10**12)
+    assert far == ratio_asymptote(0.26888, 0.26799, 10)
+
+
 def test_extrapolate_rejects_bad_inputs():
     with pytest.raises(ValueError):
         extrapolate_ratio(0.2, 0.3, 10, 20)  # increasing ratios

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from mecensus import census, cli, reference
+from mecensus import census, cli, markov, oracles, reference
 from mecensus.catalog import catalog_path, read_catalog
 
 
@@ -268,7 +268,7 @@ def test_census_rejects_bad_edge_range(capsys):
 
 
 def test_verify_passes_small_n(capsys):
-    for n in ("1", "2", "3"):
+    for n in ("1", "2", "3", "5", "6"):
         code, out, _ = run(capsys, "verify", "--n", n)
         assert code == 0, out
         assert "all checks passed" in out
@@ -291,16 +291,16 @@ def test_verify_catches_injected_labelling_fault(capsys, monkeypatch):
 
 
 def test_verify_catches_an_adg_moved_between_layers(capsys, monkeypatch):
-    real = cli.census
+    real = cli._census_per_skeleton
 
-    def skewed(n, skeletons=None, jobs=1):
+    def skewed(n, records):
         # the empty graph's one class moves to e=1: every total stays
-        report = real(n, skeletons, jobs)
+        report, totals = real(n, records)
         report.joint[0, 1] -= 1
         report.joint[1, 1] = report.joint.get((1, 1), 0) + 1
-        return report
+        return report, totals
 
-    monkeypatch.setattr(cli, "census", skewed)
+    monkeypatch.setattr(cli, "_census_per_skeleton", skewed)
     code, out, _ = run(capsys, "verify", "--n", "4")
     assert code == 1
     lines = out.splitlines()
@@ -308,6 +308,53 @@ def test_verify_catches_an_adg_moved_between_layers(capsys, monkeypatch):
     assert "ok   class_total_vs_published" in lines
     assert ("FAIL adgs_by_edges_vs_recurrence: first mismatch at e=0: expected 1, got 0"
             in lines)
+
+
+def test_verify_report_and_totals_match_the_census_and_the_kernel():
+    for n in range(1, 7):
+        records = list(census.iter_skeletons(n))
+        report, totals = cli._census_per_skeleton(n, records)
+        assert report == census.census(n, records)
+        assert totals == [markov.classify_skeleton(r.graph).total_orientations for r in records]
+
+
+def test_verify_classifies_each_skeleton_once(capsys, monkeypatch):
+    real = markov.classify_skeleton
+    calls = []
+
+    def counted(g):
+        calls.append(g.code)
+        return real(g)
+
+    # every mecensus module that bound the kernel under its own name
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("mecensus")
+                and getattr(mod, "classify_skeleton", None) is real):
+            monkeypatch.setattr(mod, "classify_skeleton", counted)
+    code, out, _ = run(capsys, "verify", "--n", "5")
+    assert code == 0, out
+    assert len(calls) == reference.KNOWN_UNLABELED_GRAPHS[5] == 34
+    assert sorted(calls) == sorted(r.graph.code for r in census.iter_skeletons(5))
+
+
+def test_verify_names_a_skeleton_with_one_orientation_too_many(capsys, monkeypatch):
+    real = census.classify_skeleton
+    target = list(census.iter_skeletons(5))[12].graph
+
+    def skewed(g):
+        table = real(g)
+        if g.code != target.code:
+            return table
+        counts = dict(table.counts)
+        counts[next(iter(counts))] += 1
+        return markov.SkeletonClassTable(table.n, counts)
+
+    monkeypatch.setattr(census, "classify_skeleton", skewed)
+    code, out, _ = run(capsys, "verify", "--n", "5")
+    assert code == 1
+    want = oracles.acyclic_orientation_count(target)
+    assert (f"FAIL orientation_count_vs_source_sets: first mismatch "
+            f"({target.code}, {want}, {want + 1})") in out.splitlines()
 
 
 def test_extrapolate_published_inputs(capsys):
