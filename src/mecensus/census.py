@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Iterable, NoReturn
+from typing import Iterable, Iterator, NoReturn
 
 from .graphs import Graph, pair_count
 from .markov import classify_skeleton, find_v_configurations
@@ -119,18 +119,29 @@ def iter_skeletons(n: int, edges: tuple[int, int] | None = None) -> Iterable[Ske
             yield SkeletonRecord(graph=g, labellings=lab)
 
 
-def census_skeletons(n: int, records: Iterable[SkeletonRecord]) -> CensusReport:
-    """Census of an explicit skeleton subset (the parallel work unit)."""
+def skeleton_rows(records: Iterable[SkeletonRecord]) -> Iterator[tuple[SkeletonRecord, int, Counter]]:
+    """(record, v-configurations, Counter{class size: classes}) per skeleton, lazily, in order."""
+    for rec in records:
+        counts = classify_skeleton(rec.graph).counts  # unsorted: only the class sizes count here
+        yield rec, len(find_v_configurations(rec.graph)), Counter(counts.values())
+
+
+def census_rows(n: int, rows: Iterable[tuple[SkeletonRecord, int, Counter]]) -> CensusReport:
+    """The census folded from skeleton_rows in one pass."""
     joint = Counter()
     vconfigs, classes = [], []
-    for rec in records:
+    for rec, nv, sizes in rows:
         g = rec.graph
-        counts = classify_skeleton(g).counts  # unsorted: only the class sizes count here
-        for size, cnt in Counter(counts.values()).items():
+        for size, cnt in sizes.items():
             joint[g.edge_count, size] += rec.labellings * cnt
-        vconfigs.append((len(find_v_configurations(g)), g.code))
-        classes.append((len(counts), g.code))
+        vconfigs.append((nv, g.code))
+        classes.append((sum(sizes.values()), g.code))
     return _report(n, joint, vconfigs, classes)
+
+
+def census_skeletons(n: int, records: Iterable[SkeletonRecord]) -> CensusReport:
+    """Census of an explicit skeleton subset (the parallel work unit)."""
+    return census_rows(n, skeleton_rows(records))
 
 
 def _census_slice(n: int, records: list[SkeletonRecord]) -> CensusReport:

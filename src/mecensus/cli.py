@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
-from functools import reduce
 from itertools import groupby
 from math import comb
 from operator import attrgetter
@@ -20,14 +19,13 @@ from . import catalog, oracles, reference
 from .analysis import extrapolate_ratio, ratio_asymptote
 from .census import (
     CensusWorkerError,
-    CensusReport,
     SkeletonRecord,
     census,
-    census_skeletons,
+    census_rows,
     iter_skeletons,
-    merge,
     robinson_adg_count,
     robinson_adgs_by_edges,
+    skeleton_rows,
 )
 from .graphs import MAX_VERTICES, pair_count
 
@@ -93,30 +91,21 @@ def cmd_census(args) -> int:
     return 0
 
 
-def _census_per_skeleton(n: int, records: list[SkeletonRecord]) -> tuple[CensusReport, list[int]]:
-    """The census of `records` and each skeleton's orientation total, in record order.
-
-    Each skeleton is its own census_skeletons part, whose ADGs are its
-    orientations times its labellings.  Parts merge within their edge
-    layer and are dropped, then the layers merge: merge is exact, so the
-    report equals census(n, records), and every merge stays small.
-    """
-    layers, totals = [], []
-    for _, layer in groupby(records, key=attrgetter("graph.edge_count")):
-        layer = list(layer)
-        parts = [census_skeletons(n, [rec]) for rec in layer]
-        totals += [part.total_adgs // rec.labellings for rec, part in zip(layer, parts)]
-        layers.append(reduce(merge, parts))
-    return reduce(merge, layers), totals
-
-
 def _verify_checks(n: int):
     """Yield (name, ok, detail) for every oracle applicable at this n.
 
-    Each skeleton is classified once, through census_skeletons.
+    Each skeleton is classified once: census_rows folds skeleton_rows as they
+    stream past, and tallied keeps each row's orientation total, sum(size * count).
     """
     records = list(iter_skeletons(n))
-    report, totals = _census_per_skeleton(n, records)
+    totals = []
+
+    def tallied(rows):
+        for row in rows:
+            totals.append(sum(size * cnt for size, cnt in row[2].items()))
+            yield row
+
+    report = census_rows(n, tallied(skeleton_rows(records)))
 
     robinson = robinson_adg_count(n)
     yield ("adg_total_vs_recurrence", report.total_adgs == robinson,

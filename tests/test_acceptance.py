@@ -7,6 +7,7 @@ extension is opt-in: MECENSUS_EXTENDED=1 pytest -m extended ...
 import hashlib
 import os
 import time
+from fractions import Fraction
 from math import comb, factorial
 
 import pytest
@@ -114,6 +115,35 @@ def test_criterion_5_size1_ratio(reports):
     print(f"PASS criterion 5: size-1 class ratios match to five decimals for n=2..{MAX_N}")
 
 
+def essential_dag_count(n):
+    """Labelled DAGs alone in their class, by inclusion-exclusion over k sinks.
+
+    A DAG is alone in its class iff it has no covered arc (Chickering 1995):
+    no u->v with pa(v) = pa(u) | {u}.  Deleting k sinks leaves an essential
+    DAG on n-k vertices, and each sink's parent set must avoid the n-k
+    distinct sets pa(u) | {u} of the vertices left.
+    """
+    e = [1]
+    for m in range(1, n + 1):
+        e.append(sum((-1) ** (k + 1) * comb(m, k) * (2 ** (m - k) - (m - k)) ** k * e[m - k]
+                     for k in range(1, m + 1)))
+    return e[n]
+
+
+def test_size1_classes_match_the_covered_arc_recurrence(reports):
+    for n in range(1, MAX_N + 1):
+        assert reports[n].size_histogram[1] == essential_dag_count(n), f"n={n}"
+    print(f"PASS size-1 class counts equal the covered-arc recurrence (n<={MAX_N})")
+
+
+def test_covered_arc_recurrence_matches_published_size1_ratios():
+    for n in range(1, 11):
+        ratio = Fraction(essential_dag_count(n), KNOWN_CLASS_COUNTS[n])
+        assert matches_published_ratio(ratio, KNOWN_SIZE1_RATIOS[n]), f"n={n}: {float(ratio)}"
+    print("PASS the covered-arc recurrence over the published class counts gives the "
+          "published size-1 ratios (n<=10)")
+
+
 def test_criterion_6_structural_identities(reports):
     for n in range(2, MAX_N + 1):
         m = pair_count(n)
@@ -201,4 +231,5 @@ def test_extended_n8_census():
     assert r.max_classes_per_skeleton == KNOWN_MAX_CLASSES[8]
     assert matches_published_ratio(r.size1_ratio, KNOWN_SIZE1_RATIOS[8])
     assert r.adgs_by_edges == robinson_adgs_by_edges(8)
+    assert r.size_histogram[1] == essential_dag_count(8) == 58874478231
     print(f"PASS extended: n=8 census matches the published values ({elapsed:.0f}s)")

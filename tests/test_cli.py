@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import os
 import subprocess
@@ -146,6 +147,16 @@ def test_package_import_loads_no_submodule():
     assert out.splitlines() == ["[]", "True"]
 
 
+def test_package_has_no_assert_statement():
+    # runtime checks raise; python -O strips every assert
+    paths = sorted(Path(cli.__file__).parent.glob("*.py"))
+    assert "cli.py" in [p.name for p in paths]
+    found = [f"{path.name}:{node.lineno}" for path in paths
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
 def test_cli_import_leaves_process_pool_out():
     # pickle is loaded only by a forked census, and no census loads a process pool
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
@@ -291,16 +302,16 @@ def test_verify_catches_injected_labelling_fault(capsys, monkeypatch):
 
 
 def test_verify_catches_an_adg_moved_between_layers(capsys, monkeypatch):
-    real = cli._census_per_skeleton
+    real = cli.census_rows
 
-    def skewed(n, records):
+    def skewed(n, rows):
         # the empty graph's one class moves to e=1: every total stays
-        report, totals = real(n, records)
+        report = real(n, rows)
         report.joint[0, 1] -= 1
         report.joint[1, 1] = report.joint.get((1, 1), 0) + 1
-        return report, totals
+        return report
 
-    monkeypatch.setattr(cli, "_census_per_skeleton", skewed)
+    monkeypatch.setattr(cli, "census_rows", skewed)
     code, out, _ = run(capsys, "verify", "--n", "4")
     assert code == 1
     lines = out.splitlines()
@@ -313,9 +324,42 @@ def test_verify_catches_an_adg_moved_between_layers(capsys, monkeypatch):
 def test_verify_report_and_totals_match_the_census_and_the_kernel():
     for n in range(1, 7):
         records = list(census.iter_skeletons(n))
-        report, totals = cli._census_per_skeleton(n, records)
-        assert report == census.census(n, records)
-        assert totals == [markov.classify_skeleton(r.graph).total_orientations for r in records]
+        assert census.census_rows(n, census.skeleton_rows(records)) == census.census(n, records)
+        for rec, _, sizes in census.skeleton_rows(records):
+            want = markov.classify_skeleton(rec.graph).total_orientations
+            assert sum(size * cnt for size, cnt in sizes.items()) == want
+
+
+def test_verify_merges_no_reports(capsys, monkeypatch):
+    real = census.merge
+    calls = []
+
+    def counted(a, b):
+        calls.append((a.n, b.n))
+        return real(a, b)
+
+    # every mecensus module that bound merge under its own name
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("mecensus")
+                and getattr(mod, "merge", None) is real):
+            monkeypatch.setattr(mod, "merge", counted)
+    code, out, _ = run(capsys, "verify", "--n", "5")
+    assert code == 0, out
+    assert calls == []
+
+
+def test_skeleton_rows_are_lazy():
+    first = next(iter(census.iter_skeletons(4)))
+
+    def records():
+        yield first
+        raise RuntimeError("second record asked for")
+
+    rows = census.skeleton_rows(records())
+    rec, vconfigs, sizes = next(rows)
+    assert rec is first and vconfigs == 0 and sizes == {1: 1}
+    with pytest.raises(RuntimeError, match="second record"):
+        next(rows)
 
 
 def test_verify_classifies_each_skeleton_once(capsys, monkeypatch):
