@@ -1,4 +1,4 @@
-"""Per-n census aggregation and Robinson's counts of labelled ADGs.
+"""Per-n census aggregation, and recurrences counting labelled ADGs and size-1 classes.
 
 A census walks each canonical skeleton once, classifies it, and counts
 its classes per (edge count, class size), scaled by the skeleton's
@@ -260,6 +260,21 @@ def robinson_adg_count(n: int) -> int:
         a.append(sum((-1) ** (j + 1) * comb(k, j) * (1 << (j * (k - j))) * a[k - j]
                      for j in range(1, k + 1)))
     return a[n]
+
+
+def essential_dag_count(n: int) -> int:
+    """Labelled DAGs alone in their class, by inclusion-exclusion over k sinks.
+
+    A DAG is alone in its class iff it has no covered arc (Chickering 1995):
+    no u->v with pa(v) = pa(u) | {u}.  Deleting k sinks leaves an essential
+    DAG on n-k vertices, and each sink's parent set must avoid the n-k
+    distinct sets pa(u) | {u} of the vertices left.  e(0) = 1.
+    """
+    e = [1]
+    for m in range(1, n + 1):
+        e.append(sum((-1) ** (k + 1) * comb(m, k) * ((1 << (m - k)) - (m - k)) ** k * e[m - k]
+                     for k in range(1, m + 1)))
+    return e[n]
 
 
 def robinson_adgs_by_edges(n: int) -> list[int]:

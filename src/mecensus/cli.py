@@ -22,6 +22,7 @@ from .census import (
     SkeletonRecord,
     census,
     census_rows,
+    essential_dag_count,
     iter_skeletons,
     robinson_adg_count,
     robinson_adgs_by_edges,
@@ -115,6 +116,10 @@ def _verify_checks(n: int):
     yield ("adgs_by_edges_vs_recurrence", not bad,
            f"first mismatch at e={bad[0]}: expected {by_edges[bad[0]]}, "
            f"got {report.adgs_by_edges[bad[0]]}" if bad else "all layers agree")
+    essential = essential_dag_count(n)
+    size1 = report.size_histogram.get(1, 0)
+    yield ("size1_classes_vs_recurrence", size1 == essential,
+           f"expected {essential}, got {size1}")
 
     if n in reference.KNOWN_CLASS_COUNTS:
         want = reference.KNOWN_CLASS_COUNTS[n]

@@ -92,7 +92,9 @@ def classify_skeleton(g: Graph) -> SkeletonClassTable:
     adds to the placed mask, so the walk is one forward pass over the
     placed masks in ascending order, each finished before any of its
     successors.  states[placed] maps code << n | F to the number of
-    partial orientations with that partial code.
+    partial orientations with that partial code, and every step is the
+    same update of one such dict.  F is empty once all is placed, so
+    states[full] is the class table.
 
     A v-configuration (a, b, c) is an immorality iff a and c are both
     placed before b, so placing b ORs in imm[b][placed & N(b)], a table
@@ -113,11 +115,8 @@ def classify_skeleton(g: Graph) -> SkeletonClassTable:
       vertex into F, and a vertex of F that the step leaves lone is a
       neighbour of the vertex placed, which drops it from F.
     - An independent rest is all lone, so its F is empty and its only
-      completion places it in ascending order, adding sink[rest]: it is
-      tallied at once.
-    A rest of two vertices is one edge {x, y}: x first is allowed iff x
-    is not in F, y first iff y is not, and either order ends the walk,
-    so those codes are tallied at once too.
+      completion places it in ascending order, adding sink[rest]: the
+      step goes straight to states[full].
     """
     n = g.n
     adj = adjacency_masks(g)
@@ -149,26 +148,11 @@ def classify_skeleton(g: Graph) -> SkeletonClassTable:
         sink += [x | t for x in sink]
     lone = [s & ~x for s, x in enumerate(nbr)]  # s is independent iff lone[s] == s
 
-    # an edge {x, y} left last, per F: the codes of the orders that F allows
-    tails: list[dict[int, tuple[int, ...]] | None] = [None] * size
-    for x in range(n):
-        for y in range(x + 1, n):
-            bx, by = 1 << x, 1 << y
-            if adj[x] & by:
-                xy = imm[x][adj[x] ^ by] | imm[y][adj[y]]
-                yx = imm[y][adj[y] ^ bx] | imm[x][adj[x]]
-                tails[bx | by] = {0: (xy, yx), bx: (yx,), by: (xy,), bx | by: ()}
-
     full = size - 1
-    high = ~full  # the code bits of a state key
-    counts: dict[int, int] = {}  # code << n -> orientation count
     # per placed mask: {code << n | F: orientation count}
     states: list[dict[int, int]] = [{} for _ in range(size)]
     start = lone[full]  # isolated vertices go first and add no code bits
-    if start == full:
-        counts[0] = 1
-    else:
-        states[start][0] = 1
+    states[start][0] = 1
     for placed in range(start, full):
         entries = states[placed]
         if not entries:
@@ -185,28 +169,17 @@ def classify_skeleton(g: Graph) -> SkeletonClassTable:
             v = bv.bit_length() - 1
             rest = remaining ^ bv
             keep = rest & ~adj[v]  # F survives only away from v
+            clear = ~(full ^ keep)  # keeps the code bits and the F bits in keep
             passed = (bv - 1) & keep
-            gain = imm[v][placed & adj[v]]
-            tail = tails[rest]
-            if lone[rest] == rest:
+            gain = imm[v][placed & adj[v]] | passed
+            if lone[rest] == rest:  # then F' is empty and passed is 0
+                out = states[full]
                 gain |= sink[rest]
-                for key, k in items:
-                    if not key & bv:
-                        c = key & high | gain
-                        counts[c] = counts.get(c, 0) + k
-            elif tail is None:
-                out = states[placed | bv]
-                clear = ~(full ^ keep)  # keeps the code bits and the F bits in keep
-                gain |= passed
-                for key, k in items:
-                    if not key & bv:
-                        c = key & clear | gain
-                        out[c] = out.get(c, 0) + k
             else:
-                for key, k in items:
-                    if not key & bv:
-                        for t in tail[key & keep | passed]:
-                            t |= key & high | gain
-                            counts[t] = counts.get(t, 0) + k
+                out = states[placed | bv]
+            for key, k in items:
+                if not key & bv:
+                    c = key & clear | gain
+                    out[c] = out.get(c, 0) + k
 
-    return SkeletonClassTable(n, counts)
+    return SkeletonClassTable(n, states[full])

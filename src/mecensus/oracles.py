@@ -3,11 +3,11 @@
 Everything here is deliberately naive and shares nothing with the main
 pipeline beyond the graph coding: digraphs are enumerated pair by pair,
 canonical forms are taken over all n! permutations, acyclic orientations
-are listed one edge direction at a time as per-vertex parent masks and
-keyed by the v-configurations whose two parents are both set, and acyclic
-orientation counts come from the chromatic polynomial and from
-inclusion-exclusion over source sets.  Disagreement with the pipeline
-fails the build.
+are listed one edge direction at a time as per-vertex parent masks,
+keyed by the v-configurations whose two parents are both set and joined
+into classes by covered-arc reversal, and acyclic orientation counts come
+from the chromatic polynomial and from inclusion-exclusion over source
+sets.  Disagreement with the pipeline fails the build.
 """
 
 from __future__ import annotations
@@ -171,6 +171,49 @@ def class_codes(orientations: list[tuple[int, ...]],
             if parents[b] & pair == pair:
                 code |= bit
         out.append(code)
+    return out
+
+
+def covered_reversal_classes(orientations: list[tuple[int, ...]],
+                             vconfigs: list[tuple[int, int, int]]) -> dict[int, int]:
+    """{class code: size} of one skeleton's parent-mask tuples, by covered-arc reversal.
+
+    An arc u->v is covered iff pa(v) = pa(u) | {u}.  Reversing it keeps a
+    DAG in its class, and any two equivalent DAGs are joined by covered
+    reversals (Chickering 1995), so the classes are the components of the
+    orientations under covered reversal, found here by depth-first search.
+    Immoralities only name them: each component takes the class_codes of
+    its members, and a component whose members carry two codes, or a code
+    carried by two components, raises ValueError.
+    """
+    codes = dict(zip(orientations, class_codes(orientations, vconfigs)))
+    seen = set()
+    out = {}
+    for first in orientations:
+        if first in seen:
+            continue
+        code = codes[first]
+        if code in out:
+            raise ValueError(f"two components carry class code {code}")
+        seen.add(first)
+        stack = [first]
+        size = 0
+        while stack:
+            p = stack.pop()
+            size += 1
+            if codes[p] != code:
+                raise ValueError(f"one component carries class codes {code} and {codes[p]}")
+            for v, pv in enumerate(p):
+                for u, pu in enumerate(p):
+                    if pv == pu | 1 << u:  # u->v is covered: reverse it
+                        q = list(p)
+                        q[v] ^= 1 << u
+                        q[u] |= 1 << v
+                        q = tuple(q)
+                        if q not in seen:
+                            seen.add(q)
+                            stack.append(q)
+        out[code] = size
     return out
 
 

@@ -21,7 +21,12 @@ from mecensus.analysis import (
     ratio_asymptote,
 )
 from mecensus.catalog import report_lines
-from mecensus.census import census, robinson_adg_count, robinson_adgs_by_edges
+from mecensus.census import (
+    census,
+    essential_dag_count,
+    robinson_adg_count,
+    robinson_adgs_by_edges,
+)
 from mecensus.graphs import complete_graph, encode, pair_count
 from mecensus.markov import classify_skeleton
 from mecensus.oracles import brute_force_census, chromatic_polynomial_at
@@ -113,21 +118,6 @@ def test_criterion_5_size1_ratio(reports):
         assert matches_published_ratio(r, KNOWN_SIZE1_RATIOS[n]), f"n={n}: {float(r)}"
     assert KNOWN_SIZE1_RATIOS[4] == "0.31892"
     print(f"PASS criterion 5: size-1 class ratios match to five decimals for n=2..{MAX_N}")
-
-
-def essential_dag_count(n):
-    """Labelled DAGs alone in their class, by inclusion-exclusion over k sinks.
-
-    A DAG is alone in its class iff it has no covered arc (Chickering 1995):
-    no u->v with pa(v) = pa(u) | {u}.  Deleting k sinks leaves an essential
-    DAG on n-k vertices, and each sink's parent set must avoid the n-k
-    distinct sets pa(u) | {u} of the vertices left.
-    """
-    e = [1]
-    for m in range(1, n + 1):
-        e.append(sum((-1) ** (k + 1) * comb(m, k) * (2 ** (m - k) - (m - k)) ** k * e[m - k]
-                     for k in range(1, m + 1)))
-    return e[n]
 
 
 def test_size1_classes_match_the_covered_arc_recurrence(reports):

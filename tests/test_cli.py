@@ -321,6 +321,24 @@ def test_verify_catches_an_adg_moved_between_layers(capsys, monkeypatch):
             in lines)
 
 
+def test_verify_catches_a_class_moved_from_size_1_to_size_2(capsys, monkeypatch):
+    real = cli.census_rows
+
+    def skewed(n, rows):
+        # the empty graph's one class grows to size 2: one size-1 class fewer
+        report = real(n, rows)
+        report.joint[0, 1] -= 1
+        report.joint[0, 2] = report.joint.get((0, 2), 0) + 1
+        return report
+
+    monkeypatch.setattr(cli, "census_rows", skewed)
+    code, out, _ = run(capsys, "verify", "--n", "4")
+    assert code == 1
+    want = census.essential_dag_count(4)
+    assert (f"FAIL size1_classes_vs_recurrence: expected {want}, got {want - 1}"
+            in out.splitlines())
+
+
 def test_verify_report_and_totals_match_the_census_and_the_kernel():
     for n in range(1, 7):
         records = list(census.iter_skeletons(n))

@@ -256,8 +256,9 @@ def test_extended_n8_component_products_and_orientation_counts():
 
 def test_stranded_vertices_and_two_vertex_tails_match_streaming_reference():
     # a step strands a vertex whose neighbours are all placed while an edge
-    # is still left, which caps the next vertex, and many walks end on a
-    # single edge; 8-12 vertices
+    # is still left, which caps the next vertex, and many walks reach a
+    # state whose rest is a single edge, stepped through like any other;
+    # 8-12 vertices
     matching = encode({(2 * i - 1, 2 * i) for i in range(1, 7)}, 12)
     cases = [
         star_graph(9),  # K_{1,9}

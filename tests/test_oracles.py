@@ -5,12 +5,13 @@ import pytest
 
 from mecensus.census import census, iter_skeletons
 from mecensus.graphs import Graph, complete_graph, empty_graph, encode
-from mecensus.markov import classify_skeleton
+from mecensus.markov import classify_skeleton, find_v_configurations
 from mecensus.oracles import (
     acyclic_orientation_count,
     brute_force_census,
     brute_force_unlabeled,
     chromatic_polynomial_at,
+    covered_reversal_classes,
     enumerate_acyclic_orientations,
 )
 from mecensus.orderly import generate_all
@@ -96,6 +97,28 @@ def test_acyclic_orientation_count_matches_kernel_totals_up_to_n7():
         for rec in iter_skeletons(n):
             g = rec.graph
             assert acyclic_orientation_count(g) == classify_skeleton(g).total_orientations, g
+
+
+def test_covered_reversal_classes_match_the_kernel_up_to_n6():
+    # Chickering's covered-arc components, not immoralities, split the orientations
+    for n in range(1, 7):
+        for rec in iter_skeletons(n):
+            g = rec.graph
+            got = covered_reversal_classes(enumerate_acyclic_orientations(g),
+                                           find_v_configurations(g))
+            assert got == classify_skeleton(g).classes, g
+
+
+def test_covered_reversal_classes_reject_split_and_shared_codes():
+    path = encode({(1, 2), (2, 3)}, 3)
+    orientations = enumerate_acyclic_orientations(path)
+    assert covered_reversal_classes(orientations, [(1, 2, 3)]) == {0: 3, 1: 1}
+    with pytest.raises(ValueError, match="two components carry class code 0"):
+        covered_reversal_classes(orientations, [])
+    # on a triangle every arc can be reversed, so a spurious site splits its one class
+    with pytest.raises(ValueError, match="one component carries class codes"):
+        covered_reversal_classes(enumerate_acyclic_orientations(complete_graph(3)),
+                                 [(1, 2, 3)])
 
 
 def has_directed_cycle(n: int, arcs: list[tuple[int, int]]) -> bool:
