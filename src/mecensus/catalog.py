@@ -129,9 +129,10 @@ def report_lines(report: CensusReport, edges: tuple[int, int] | None = None) -> 
     lines += [
         f"total_adgs = {report.total_adgs}",
         f"total_classes = {report.total_classes}",
-        f"ratio = {float(report.ratio):.5f}",
+        # int / int is correctly rounded, so these match float(report.ratio) and the like
+        f"ratio = {report.total_classes / report.total_adgs:.5f}",
         f"size1_classes = {report.size_histogram.get(1, 0)}",
-        f"size1_ratio = {float(report.size1_ratio):.5f}",
+        f"size1_ratio = {report.size_histogram.get(1, 0) / report.total_classes:.5f}",
         f"max_vconfigs = {report.max_vconfigs}",
         "max_vconfig_codes = " + ",".join(f"{c:x}" for c in report.max_vconfig_codes),
         f"max_classes_per_skeleton = {report.max_classes_per_skeleton}",

@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import os
 import sys
-from collections import Counter
-from dataclasses import dataclass, field
-from fractions import Fraction
+from collections import Counter, namedtuple
 from math import comb
 from typing import Iterable, Iterator, NoReturn
 
-from .graphs import Graph, pair_count
+from .graphs import pair_count
 from .markov import classify_skeleton, find_v_configurations
 from .orderly import generate_all
 
@@ -25,28 +23,32 @@ class CensusWorkerError(RuntimeError):
     """A forked census child died before returning its slice."""
 
 
-@dataclass(frozen=True)
-class SkeletonRecord:
+class SkeletonRecord(namedtuple("SkeletonRecord", "graph labellings")):
     """A canonical skeleton with its labelled-copy multiplicity."""
 
-    graph: Graph
-    labellings: int
+    __slots__ = ()
 
 
-@dataclass
 class CensusReport:
     """Classes per (edge count, class size), plus the per-skeleton maxima.
 
     `joint` is the only class table stored; the by-edge lists and the size
     histogram are views summed from it, so they cannot drift apart.
+    Reports are equal when all their fields are.
     """
 
-    n: int
-    joint: dict[tuple[int, int], int] = field(default_factory=dict)  # (edges, size) -> classes
-    max_vconfigs: int = 0
-    max_vconfig_codes: list[int] = field(default_factory=list)
-    max_classes_per_skeleton: int = 0
-    max_class_codes: list[int] = field(default_factory=list)
+    def __init__(self, n: int, joint: dict[tuple[int, int], int] | None = None,
+                 max_vconfigs: int = 0, max_vconfig_codes: list[int] | None = None,
+                 max_classes_per_skeleton: int = 0, max_class_codes: list[int] | None = None):
+        self.n = n
+        self.joint = {} if joint is None else joint  # (edges, size) -> classes
+        self.max_vconfigs = max_vconfigs
+        self.max_vconfig_codes = [] if max_vconfig_codes is None else max_vconfig_codes
+        self.max_classes_per_skeleton = max_classes_per_skeleton
+        self.max_class_codes = [] if max_class_codes is None else max_class_codes
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is self.__class__ and vars(self) == vars(other)
 
     @property
     def classes_by_edges(self) -> list[int]:
@@ -80,10 +82,12 @@ class CensusReport:
 
     @property
     def ratio(self) -> Fraction:
+        from fractions import Fraction  # only the exact comparisons in verify need it
         return Fraction(self.total_classes, self.total_adgs)
 
     @property
     def size1_ratio(self) -> Fraction:
+        from fractions import Fraction
         return Fraction(self.size_histogram.get(1, 0), self.total_classes)
 
 

@@ -15,8 +15,7 @@ from math import comb
 from operator import attrgetter
 from pathlib import Path
 
-from . import catalog, oracles, reference
-from .analysis import extrapolate_ratio, ratio_asymptote
+from . import catalog
 from .census import (
     CensusWorkerError,
     SkeletonRecord,
@@ -98,6 +97,7 @@ def _verify_checks(n: int):
     Each skeleton is classified once: census_rows folds skeleton_rows as they
     stream past, and tallied keeps each row's orientation total, sum(size * count).
     """
+    from . import oracles, reference  # verify-only; generate and census start without them
     records = list(iter_skeletons(n))
     totals = []
 
@@ -193,6 +193,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_extrapolate(args) -> int:
+    from .analysis import extrapolate_ratio, ratio_asymptote
     r_target = extrapolate_ratio(args.r_prev, args.r_cur, args.n_cur, args.n_target)
     asymptote = ratio_asymptote(args.r_prev, args.r_cur, args.n_cur)
     print(f"r[{args.n_target}] = {r_target:.5f}")

@@ -10,7 +10,7 @@ codes of different sizes share the same layout for their common pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Iterator, Sequence
 
 MAX_VERTICES = 12  # codes stay within a 66-bit budget
@@ -35,18 +35,17 @@ def iter_pairs(n: int) -> Iterator[tuple[int, int]]:
 _PAIRS = list(iter_pairs(MAX_VERTICES))  # indexed by bit position, the same for every n
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Undirected graph as (vertex count, adjacency bit code)."""
+class Graph(namedtuple("Graph", "n code")):
+    """Undirected graph as (vertex count, adjacency bit code), equal and hashed as that pair."""
 
-    n: int
-    code: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_VERTICES:
-            raise ValueError(f"vertex count {self.n} outside 1..{MAX_VERTICES}")
-        if not 0 <= self.code < 1 << pair_count(self.n):
-            raise ValueError(f"code {self.code:#x} out of range for n={self.n}")
+    def __new__(cls, n: int, code: int) -> Graph:
+        if not 1 <= n <= MAX_VERTICES:
+            raise ValueError(f"vertex count {n} outside 1..{MAX_VERTICES}")
+        if not 0 <= code < 1 << pair_count(n):
+            raise ValueError(f"code {code:#x} out of range for n={n}")
+        return tuple.__new__(cls, (n, code))
 
     @property
     def edge_count(self) -> int:

@@ -24,7 +24,6 @@ instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .graphs import Graph, adjacency_masks
@@ -51,7 +50,6 @@ def find_v_configurations(g: Graph) -> list[tuple[int, int, int]]:
     return out
 
 
-@dataclass
 class SkeletonClassTable:
     """The orientation count of each class code of one skeleton.
 
@@ -60,8 +58,9 @@ class SkeletonClassTable:
     ascending, is sorted from it on first read.
     """
 
-    n: int
-    counts: dict[int, int]
+    def __init__(self, n: int, counts: dict[int, int]):
+        self.n = n
+        self.counts = counts
 
     @cached_property
     def classes(self) -> dict[int, int]:

@@ -13,18 +13,15 @@ sets.  Disagreement with the pipeline fails the build.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .graphs import Graph, apply_permutation, iter_pairs, pair_index
 
 
-@dataclass
 class LabeledDagCensus:
-    n: int
-    total_dags: int
-    dags_by_edges: list[int]
-    # (skeleton code, frozenset of immorality triples) -> class size
-    classes: dict[tuple[int, frozenset], int]
+    def __init__(self, n: int, total_dags: int, dags_by_edges: list[int],
+                 classes: dict[tuple[int, frozenset], int]):
+        self.n, self.total_dags, self.dags_by_edges = n, total_dags, dags_by_edges
+        self.classes = classes  # (skeleton code, frozenset of immorality triples) -> class size
 
 
 def brute_force_census(n: int) -> LabeledDagCensus:

@@ -26,7 +26,6 @@ labelled-copy count, n!/|Aut|, the weight the census gives it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
 from typing import Iterator
 
@@ -123,12 +122,11 @@ def canonicalize(g: Graph) -> Graph:
     return Graph(g.n, canonical_search(g.n, adjacency_masks(g))[0])
 
 
-@dataclass
 class GenerationLayer:
-    n: int
-    edge_count: int
-    graphs: list[Graph]  # strictly descending code
-    labellings: list[int]  # n!/|Aut| of each graph, in the same order
+    """One edge layer: graphs in strictly descending code, and n!/|Aut| of each."""
+
+    def __init__(self, n: int, edge_count: int, graphs: list[Graph], labellings: list[int]):
+        self.n, self.edge_count, self.graphs, self.labellings = n, edge_count, graphs, labellings
 
 
 def generate_all(n: int) -> Iterator[GenerationLayer]:

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -18,6 +19,7 @@ from mecensus.analysis import (
 from mecensus.catalog import report_lines
 from mecensus.census import (
     CensusReport,
+    SkeletonRecord,
     _slices,
     census,
     census_skeletons,
@@ -59,6 +61,26 @@ def test_merge_identity_and_commutativity():
     a = census_skeletons(5, skeletons[:10])
     b = census_skeletons(5, skeletons[10:])
     assert merge(a, b) == merge(b, a)
+
+
+def test_records_and_reports_round_trip_through_pickle():
+    # a forked census worker pickles its report back to the caller
+    records = list(iter_skeletons(4))
+    assert pickle.loads(pickle.dumps(records)) == records
+    assert type(pickle.loads(pickle.dumps(records[3]))) is SkeletonRecord
+    r = census(4)
+    back = pickle.loads(pickle.dumps(r))
+    assert back == r and report_lines(back) == report_lines(r)
+
+
+def test_census_reports_own_their_defaults():
+    a, b = CensusReport(4), CensusReport(4)
+    assert a == b and a != CensusReport(5)
+    a.joint[1, 1] = 6
+    a.max_vconfig_codes.append(1)
+    a.max_class_codes.append(1)
+    assert (b.joint, b.max_vconfig_codes, b.max_class_codes) == ({}, [], [])
+    assert a != b
 
 
 def test_merge_rejects_mismatched_n():

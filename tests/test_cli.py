@@ -171,6 +171,29 @@ def test_cli_import_leaves_process_pool_out():
     assert out.count("False") == 2  # the child flushed none of the caller's buffered output
 
 
+def test_generate_and_census_start_without_verify_only_modules(tmp_path):
+    # every module kept off the start path saves its import and compile time
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    probe = ("import sys\n"
+             "before = set(sys.modules)\n"
+             "from mecensus.cli import main\n"
+             f"assert main(['generate', '--n', '5', '--graphs', {str(tmp_path)!r}]) == 0\n"
+             "assert main(['census', '--n', '5']) == 0\n"
+             "print('loaded', sorted(set(sys.modules) - before))\n"
+             "assert main(['verify', '--n', '4']) == 0\n"
+             "assert main(['extrapolate', '--r-prev', '0.27443', '--r-cur', '0.27068',"
+             " '--n-cur', '8', '--n-target', '9']) == 0\n")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    line = next(ln for ln in done.stdout.splitlines() if ln.startswith("loaded "))
+    loaded = set(ast.literal_eval(line[len("loaded "):]))
+    assert "mecensus.census" in loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect", "fractions", "decimal", "mecensus.oracles",
+                              "mecensus.analysis", "mecensus.reference"})
+    assert "all checks passed for n=4" in done.stdout
+
+
 def test_census_from_catalogs_matches_regeneration(tmp_path, capsys):
     run(capsys, "generate", "--n", "4", "--graphs", str(tmp_path / "g"))
     a = tmp_path / "from_catalog.txt"

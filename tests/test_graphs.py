@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 
 import pytest
@@ -56,6 +57,20 @@ def test_graph_validation():
         Graph(3, 8)
     with pytest.raises(ValueError):
         Graph(3, -1)
+
+
+def test_graph_is_a_value_that_pickles():
+    g = Graph(3, 6)
+    assert g == Graph(3, 6) and g != Graph(3, 5) and g != Graph(4, 6)
+    assert hash(g) == hash(Graph(3, 6))
+    assert len({g, Graph(3, 6), Graph(4, 6)}) == 2
+    assert repr(g) == "Graph(n=3, code=6)"
+    back = pickle.loads(pickle.dumps(g))
+    assert back == g and type(back) is Graph and back.edge_count == 2
+    with pytest.raises(ValueError, match=r"^vertex count 13 outside 1\.\.12$"):
+        Graph(13, 0)
+    with pytest.raises(ValueError, match=r"^code 0x8 out of range for n=3$"):
+        Graph(3, 8)
 
 
 def test_encode_edges_round_trip_exhaustive():

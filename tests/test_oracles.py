@@ -121,6 +121,34 @@ def test_covered_reversal_classes_reject_split_and_shared_codes():
                                  [(1, 2, 3)])
 
 
+@pytest.mark.parametrize("n, dags, classes", [(3, 25, 11), (4, 543, 185)])
+def test_skeleton_and_immoralities_partition_dags_as_d_separation_does(n, dags, classes):
+    # Verma & Pearl's criterion against the definition of Markov equivalence:
+    # the same d-separation statements, read by networkx
+    nx = pytest.importorskip("networkx")
+    nodes = range(1, n + 1)
+    pairs = list(itertools.combinations(nodes, 2))
+    keys = []  # per labelled DAG: (its d-separations, (skeleton, immoralities))
+    for arcs in itertools.product((None, False, True), repeat=len(pairs)):
+        g = nx.DiGraph()
+        g.add_nodes_from(nodes)
+        g.add_edges_from((j, i) if flip else (i, j)
+                         for (i, j), flip in zip(pairs, arcs) if flip is not None)
+        if not nx.is_directed_acyclic_graph(g):
+            continue
+        seps = frozenset((x, y, z) for x, y in pairs for k in range(n - 1)
+                         for z in itertools.combinations([v for v in nodes if v not in (x, y)], k)
+                         if nx.is_d_separator(g, {x}, {y}, set(z)))
+        skeleton = frozenset(p for p, a in zip(pairs, arcs) if a is not None)
+        immoralities = frozenset((a, b, c) for b in nodes
+                                 for a, c in itertools.combinations(sorted(g.predecessors(b)), 2)
+                                 if (a, c) not in skeleton)
+        keys.append((seps, (skeleton, immoralities)))
+    assert len(keys) == dags
+    # equal partitions: each key determines the other
+    assert len({s for s, _ in keys}) == len({t for _, t in keys}) == len(set(keys)) == classes
+
+
 def has_directed_cycle(n: int, arcs: list[tuple[int, int]]) -> bool:
     # Kahn peeling, written against the arc list only
     indeg = {v: 0 for v in range(1, n + 1)}
