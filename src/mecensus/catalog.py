@@ -48,8 +48,9 @@ def _write_atomic(path: Path, text: str) -> None:
     try:
         tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, path)
-    finally:
+    except BaseException:
         tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_catalog(path: Path | str, n: int, e: int,

@@ -31,13 +31,14 @@ from .graphs import MAX_VERTICES, pair_count
 
 
 def _parse_edges(text: str, m: int) -> tuple[int, int]:
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-    else:
-        lo = hi = int(text)
+    lo_s, dots, hi_s = text.partition("..")
+    try:
+        lo = int(lo_s)
+        hi = int(hi_s) if dots else lo
+    except ValueError:
+        raise ValueError(f"--edges {text!r}: expected E or LO..HI") from None
     if not 0 <= lo <= hi <= m:
-        raise ValueError(f"edge range {text!r} outside 0..{m}")
+        raise ValueError(f"--edges {text!r}: range outside 0..{m}")
     return lo, hi
 
 
@@ -53,22 +54,18 @@ def cmd_generate(args) -> int:
 
 def _load_or_generate(n: int, graphs_dir: str | None,
                       edges: tuple[int, int] | None) -> list[SkeletonRecord]:
-    m = pair_count(n)
-    wanted = range(m + 1) if edges is None else range(edges[0], edges[1] + 1)
-    if graphs_dir is not None:
-        paths = [(e, catalog.catalog_path(graphs_dir, n, e)) for e in wanted]
-        missing = next((p for _, p in paths if not p.exists()), None)
-        if missing is None:
-            records = []
-            for e, p in paths:
-                fn, fe, recs = catalog.read_catalog(p)
-                if fn != n or fe != e:
-                    raise catalog.CatalogError(f"{p}: header does not match its location")
-                records.extend(recs)
-            return records
-        print(f"note: catalog {missing} not found; regenerating the skeletons",
-              file=sys.stderr)
-    return list(iter_skeletons(n, edges))
+    """Generate, or read every wanted layer of graphs_dir: a missing or bad file raises."""
+    if graphs_dir is None:
+        return list(iter_skeletons(n, edges))
+    lo, hi = (0, pair_count(n)) if edges is None else edges
+    records = []
+    for e in range(lo, hi + 1):
+        path = catalog.catalog_path(graphs_dir, n, e)
+        fn, fe, recs = catalog.read_catalog(path)
+        if fn != n or fe != e:
+            raise catalog.CatalogError(f"{path}: header does not match its location")
+        records.extend(recs)
+    return records
 
 
 def cmd_census(args) -> int:
@@ -218,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="processes, one slice each: this one plus up to N-1 forked "
                         "children; at most one per usable CPU")
-    p.add_argument("--graphs", help="catalog directory to load instead of regenerating")
+    p.add_argument("--graphs", help="catalog directory to read instead of generating")
     p.add_argument("--out", help="report file path (default: print to stdout)")
     p.add_argument("--format", choices=("report", "csv"), default="report",
                    help="csv also writes by-edge/by-size/joint sidecar tables")

@@ -204,19 +204,41 @@ def test_census_from_catalogs_matches_regeneration(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_census_logs_missing_catalog_and_regenerates(tmp_path, capsys):
+def test_census_rejects_a_missing_catalog(tmp_path, capsys):
     run(capsys, "generate", "--n", "4", "--graphs", str(tmp_path / "g"))
     catalog_path(tmp_path / "g", 4, 2).unlink()
     catalog_path(tmp_path / "g", 4, 5).unlink()
-    code, out, err = run(capsys, "census", "--n", "4", "--graphs", str(tmp_path / "g"))
-    assert code == 0
-    assert out == run(capsys, "census", "--n", "4")[1]
-    assert len(err.splitlines()) == 1
-    assert "e2.cat" in err and "e5.cat" not in err
-    assert "regenerating" in err
+    report = tmp_path / "r.txt"
+    for out in ([], ["--out", str(report)]):
+        code, stdout, err = run(capsys, "census", "--n", "4", "--graphs", str(tmp_path / "g"), *out)
+        assert code == 2
+        assert stdout == ""
+        assert "e2.cat" in err and "e5.cat" not in err
+    assert not report.exists()
     # a complete catalog set is read without a word
     run(capsys, "generate", "--n", "4", "--graphs", str(tmp_path / "g"))
     assert run(capsys, "census", "--n", "4", "--graphs", str(tmp_path / "g"))[2] == ""
+
+
+def test_census_reads_every_catalog_it_needs(tmp_path, capsys):
+    # the layers are read in order, so the corrupt e3 fails before the missing e5
+    run(capsys, "generate", "--n", "4", "--graphs", str(tmp_path))
+    catalog_path(tmp_path, 4, 3).write_text("MECCAT 1 n=4 e=3 count=1\n7 4\n")
+    catalog_path(tmp_path, 4, 5).unlink()
+    code, stdout, err = run(capsys, "census", "--n", "4", "--graphs", str(tmp_path))
+    assert code == 2
+    assert stdout == ""
+    assert "e3.cat" in err and "e5.cat" not in err
+
+
+def test_census_rejects_a_catalog_directory_that_does_not_exist(tmp_path, capsys):
+    report = tmp_path / "r.txt"
+    code, stdout, err = run(capsys, "census", "--n", "3", "--graphs", str(tmp_path / "nowhere"),
+                            "--out", str(report))
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error:") and str(catalog_path(tmp_path / "nowhere", 3, 0)) in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_census_edge_slice_consistent(tmp_path, capsys):
@@ -297,8 +319,12 @@ def test_census_rejects_catalog_with_wrong_labelling_sum(tmp_path, capsys):
 
 
 def test_census_rejects_bad_edge_range(capsys):
-    code, _, err = run(capsys, "census", "--n", "3", "--edges", "2..9")
-    assert code == 2
+    for edges, message in [("2..9", "range outside 0..3"), ("x", "expected E or LO..HI"),
+                           ("1..", "expected E or LO..HI"), ("..2", "expected E or LO..HI")]:
+        code, stdout, err = run(capsys, "census", "--n", "3", "--edges", edges)
+        assert code == 2
+        assert stdout == ""
+        assert err == f"error: --edges {edges!r}: {message}\n"
 
 
 def test_verify_passes_small_n(capsys):
