@@ -48,12 +48,15 @@ def extrapolate_ratio(r_prev: float, r_cur: float, n_cur: int, n_target: int) ->
 
     The damping uses s_k = 2 + 20/3 exp(-k/2); the step producing r_{k+1}
     reads s at k + 1.  Both ratios are class/ADG proportions, so they
-    must satisfy 0 < r_cur <= r_prev <= 1 (which NaN and infinities fail).
+    must satisfy 0 < r_cur <= r_prev <= 1 (which NaN and infinities fail),
+    and r_prev is the ratio at n_cur - 1, so n_cur >= 2.
     Once a step leaves the value unchanged every later step subtracts 0,
     so the walk stops there: a far target costs no more than a near one.
     """
     if not 0 < r_cur <= r_prev <= 1:
         raise ValueError("need 0 < r_cur <= r_prev <= 1")
+    if n_cur < 2:
+        raise ValueError("n_cur must be >= 2")
     if n_target < n_cur:
         raise ValueError("target below current index")
     prev, cur = float(r_prev), float(r_cur)

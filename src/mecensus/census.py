@@ -148,11 +148,6 @@ def census_skeletons(n: int, records: Iterable[SkeletonRecord]) -> CensusReport:
     return census_rows(n, skeleton_rows(records))
 
 
-def _census_slice(n: int, records: list[SkeletonRecord]) -> CensusReport:
-    """The census a forked child runs on its slice."""
-    return census_skeletons(n, records)
-
-
 def _slices(items: list, jobs: int) -> list[list]:
     """Deal items round-robin into jobs slices.
 
@@ -171,9 +166,11 @@ def census(n: int, skeletons: Iterable[SkeletonRecord] | None = None,
     for every job count: the skeletons are dealt round-robin into
     min(jobs, usable CPUs, skeletons) slices; the calling process takes
     the first and a forked child each of the others (os.fork, so a
-    caller with jobs > 1 must run no other threads).  Slices share
-    nothing, and merging is exact integer arithmetic, so neither the
-    split nor the merge order shows.
+    caller with jobs > 1 must run no other threads).  Each child pickles
+    its report into a pipe; they are read and merged in slice order once
+    this process has done its own slice.  Slices share nothing, and
+    merging is exact integer arithmetic, so neither the split nor the
+    merge order shows.
     Raises CensusWorkerError if a child exits non-zero or dies from a
     signal; on any error every child is killed and reaped.
     """
@@ -183,26 +180,13 @@ def census(n: int, skeletons: Iterable[SkeletonRecord] | None = None,
         skeletons = iter_skeletons(n)
     skeletons = list(skeletons)
     workers = min(jobs, len(os.sched_getaffinity(0)), len(skeletons))
-    if workers <= 1:
-        return census_skeletons(n, skeletons)
-    own, *rest = _slices(skeletons, workers)
-    return _census_forked(n, own, rest)
-
-
-def _census_forked(n: int, own: list[SkeletonRecord],
-                   slices: list[list[SkeletonRecord]]) -> CensusReport:
-    """Census of `own` in this process and of each slice in a forked child.
-
-    Each child pickles its report into a pipe; they are read and merged
-    in slice order once this process has done its own slice.
-    """
-    import pickle  # only the fork path needs these; every CLI start would pay for them
-    import signal
-
+    own, *rest = _slices(skeletons, max(workers, 1))  # one slice, maybe empty, at the least
     pids: list[int | None] = []  # None once reaped
     pipes: list[int] = []  # read ends, one per child
     try:
-        for part in slices:
+        for part in rest:
+            import pickle  # only a census with a child needs these, not every CLI start
+            import signal
             r, w = os.pipe()
             pipes.append(r)
             try:
@@ -245,7 +229,7 @@ def _run_child(n: int, records: list[SkeletonRecord], fd: int) -> NoReturn:
     try:
         import pickle
         with open(fd, "wb") as out:
-            pickle.dump(_census_slice(n, records), out)
+            pickle.dump(census_skeletons(n, records), out)
         status = 0
     except Exception:
         import traceback

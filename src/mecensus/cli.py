@@ -8,6 +8,7 @@ Commands: generate (graph catalogs), census (report files), verify
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from collections import Counter
 from itertools import groupby
@@ -31,12 +32,12 @@ from .graphs import MAX_VERTICES, pair_count
 
 
 def _parse_edges(text: str, m: int) -> tuple[int, int]:
-    lo_s, dots, hi_s = text.partition("..")
-    try:
-        lo = int(lo_s)
-        hi = int(hi_s) if dots else lo
-    except ValueError:
-        raise ValueError(f"--edges {text!r}: expected E or LO..HI") from None
+    # ASCII digits alone: int() also takes signs, spaces, underscores and other scripts
+    bounds = re.fullmatch(r"(\d+)(?:\.\.(\d+))?", text, re.ASCII)
+    if bounds is None:
+        raise ValueError(f"--edges {text!r}: expected E or LO..HI")
+    lo = int(bounds[1])
+    hi = int(bounds[2] or bounds[1])
     if not 0 <= lo <= hi <= m:
         raise ValueError(f"--edges {text!r}: range outside 0..{m}")
     return lo, hi

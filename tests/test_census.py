@@ -122,6 +122,11 @@ def test_census_never_forks_more_than_usable_cpus(monkeypatch):
         assert census(5, jobs=jobs) == serial
     # the caller takes one slice and one child the other, whatever jobs asks for above two
     assert forks == [2, 8, 17]
+    # with one usable CPU the caller takes the only slice and forks nothing
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    for jobs in (1, 8):
+        assert census(5, jobs=jobs) == serial
+    assert forks == [2, 8, 17]
 
 
 def test_census_kills_and_reaps_children_when_its_own_slice_raises(monkeypatch):
@@ -247,6 +252,8 @@ def test_extrapolate_rejects_bad_inputs():
         extrapolate_ratio(0.3, -0.1, 10, 20)
     with pytest.raises(ValueError):
         extrapolate_ratio(0.3, 0.2, 10, 5)  # target below start
+    with pytest.raises(ValueError):
+        extrapolate_ratio(0.3, 0.2, 1, 4)  # r_prev would be the ratio at n=0
 
 
 def test_gaussian_chi2_near_zero_on_gaussian_input():

@@ -80,26 +80,33 @@ def test_census_jobs3_matches_serial_n6(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
-def _die_in_worker(n, items):
-    os._exit(1)
+def _fail_in_children(monkeypatch, fail):
+    """Patch census_skeletons to run as before in this process and call fail() in a child."""
+    caller, real = os.getpid(), census.census_skeletons
+
+    def census_skeletons(n, records):
+        if os.getpid() == caller:
+            return real(n, records)
+        fail()
+
+    monkeypatch.setattr(census, "census_skeletons", census_skeletons)
 
 
 def test_census_worker_death_exits_2(capsys, monkeypatch):
-    # forked children see the patch; the caller's own slice does not call it
-    monkeypatch.setattr(census, "_census_slice", _die_in_worker)
+    _fail_in_children(monkeypatch, lambda: os._exit(1))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # one child on any host
     code, _, err = run(capsys, "census", "--n", "4", "--jobs", "2")
     assert code == 2
     assert "error: census worker died" in err
 
 
-def _raise_in_worker(n, records):
+def _raise_slice_failed():
     raise RuntimeError("slice failed on purpose")
 
 
 def test_census_worker_exception_exits_2_with_its_traceback(capfd, monkeypatch):
     # the child's traceback goes to the inherited stderr file descriptor
-    monkeypatch.setattr(census, "_census_slice", _raise_in_worker)
+    _fail_in_children(monkeypatch, _raise_slice_failed)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     code = cli.main(["census", "--n", "4", "--jobs", "2"])
     err = capfd.readouterr().err
@@ -189,8 +196,8 @@ def test_generate_and_census_start_without_verify_only_modules(tmp_path):
     line = next(ln for ln in done.stdout.splitlines() if ln.startswith("loaded "))
     loaded = set(ast.literal_eval(line[len("loaded "):]))
     assert "mecensus.census" in loaded
-    assert loaded.isdisjoint({"dataclasses", "inspect", "fractions", "decimal", "mecensus.oracles",
-                              "mecensus.analysis", "mecensus.reference"})
+    assert loaded.isdisjoint({"dataclasses", "inspect", "fractions", "decimal", "pickle", "signal",
+                              "mecensus.oracles", "mecensus.analysis", "mecensus.reference"})
     assert "all checks passed for n=4" in done.stdout
 
 
@@ -325,6 +332,12 @@ def test_census_rejects_bad_edge_range(capsys):
         assert code == 2
         assert stdout == ""
         assert err == f"error: --edges {edges!r}: {message}\n"
+    # int() reads these as 10, 2..3, 2..3 and 3; each bound must be ASCII digits alone
+    for edges in ("1_0", "+2..3", "2.. 3", "\u0663"):
+        code, stdout, err = run(capsys, "census", "--n", "5", "--edges", edges)
+        assert code == 2
+        assert stdout == ""
+        assert err == f"error: --edges {edges!r}: expected E or LO..HI\n"
 
 
 def test_verify_passes_small_n(capsys):
@@ -483,6 +496,16 @@ def test_extrapolate_rejects_increasing_ratios(capsys):
                        "--r-cur", "0.3", "--n-cur", "10", "--n-target", "20")
     assert code == 2
     assert "error" in err
+
+
+def test_extrapolate_rejects_n_cur_below_2(capsys):
+    # r_prev is the ratio at n_cur - 1, which must be a vertex count of at least 1
+    for n_cur in ("-5", "0", "1"):
+        code, out, err = run(capsys, "extrapolate", "--r-prev", "0.3",
+                             "--r-cur", "0.2", "--n-cur", n_cur, "--n-target", "4")
+        assert code == 2
+        assert out == ""
+        assert err == "error: n_cur must be >= 2\n"
 
 
 @pytest.mark.parametrize("r_prev, r_cur", [("inf", "inf"), ("nan", "0.3"), ("2", "1.5")])

@@ -1,4 +1,5 @@
 import itertools
+import os
 from math import factorial
 
 import pytest
@@ -121,7 +122,14 @@ def test_covered_reversal_classes_reject_split_and_shared_codes():
                                  [(1, 2, 3)])
 
 
-@pytest.mark.parametrize("n, dags, classes", [(3, 25, 11), (4, 543, 185)])
+@pytest.mark.parametrize("n, dags, classes", [
+    (3, 25, 11),
+    (4, 543, 185),
+    pytest.param(5, 29281, 8782, marks=[
+        pytest.mark.extended,
+        pytest.mark.skipif(not os.environ.get("MECENSUS_EXTENDED"),
+                           reason="set MECENSUS_EXTENDED=1 for the n=5 d-separation run")]),
+])
 def test_skeleton_and_immoralities_partition_dags_as_d_separation_does(n, dags, classes):
     # Verma & Pearl's criterion against the definition of Markov equivalence:
     # the same d-separation statements, read by networkx
