@@ -130,7 +130,7 @@ def report_lines(report: CensusReport, edges: tuple[int, int] | None = None) -> 
     lines += [
         f"total_adgs = {report.total_adgs}",
         f"total_classes = {report.total_classes}",
-        # int / int is correctly rounded, so these match float(report.ratio) and the like
+        # int / int is correctly rounded, so these digits are those of the exact ratios
         f"ratio = {report.total_classes / report.total_adgs:.5f}",
         f"size1_classes = {report.size_histogram.get(1, 0)}",
         f"size1_ratio = {report.size_histogram.get(1, 0) / report.total_classes:.5f}",

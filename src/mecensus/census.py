@@ -80,16 +80,6 @@ class CensusReport:
     def total_adgs(self) -> int:
         return sum(size * cnt for (_, size), cnt in self.joint.items())
 
-    @property
-    def ratio(self) -> Fraction:
-        from fractions import Fraction  # only the exact comparisons in verify need it
-        return Fraction(self.total_classes, self.total_adgs)
-
-    @property
-    def size1_ratio(self) -> Fraction:
-        from fractions import Fraction
-        return Fraction(self.size_histogram.get(1, 0), self.total_classes)
-
 
 def merge(a: CensusReport, b: CensusReport) -> CensusReport:
     """Combine reports over disjoint skeleton sets; commutative, associative."""

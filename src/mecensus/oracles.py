@@ -6,8 +6,8 @@ canonical forms are taken over all n! permutations, acyclic orientations
 are listed one edge direction at a time as per-vertex parent masks,
 keyed by the v-configurations whose two parents are both set and joined
 into classes by covered-arc reversal, and acyclic orientation counts come
-from the chromatic polynomial and from inclusion-exclusion over source
-sets.  Disagreement with the pipeline fails the build.
+from inclusion-exclusion over source sets.  Disagreement with the pipeline
+fails the build.
 """
 
 from __future__ import annotations
@@ -237,27 +237,3 @@ def acyclic_orientation_count(g: Graph) -> int:
         indep.append(sets)
         a.append(sum(a[u ^ s] if s.bit_count() & 1 else -a[u ^ s] for s in sets[1:]))
     return a[-1]
-
-
-def chromatic_polynomial_at(g: Graph, x: int) -> int:
-    """Evaluate the chromatic polynomial by deletion-contraction.
-
-    |value at -1| equals the number of acyclic orientations, which is the
-    cross-check the orientation enumerator is held to.
-    """
-    return _chromatic(g.n, frozenset(g.edges()), x)
-
-
-def _chromatic(nv: int, edges: frozenset, x: int) -> int:
-    if not edges:
-        return x ** nv
-    u, v = next(iter(edges))
-    deleted = edges - {(u, v)}
-    # contract v into u; simple-graph collapse of any parallel edges
-    contracted = set()
-    for a, b in deleted:
-        a = u if a == v else a
-        b = u if b == v else b
-        if a != b:
-            contracted.add((min(a, b), max(a, b)))
-    return _chromatic(nv, deleted, x) - _chromatic(nv - 1, frozenset(contracted), x)

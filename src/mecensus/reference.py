@@ -1,13 +1,10 @@
 """Published census values the pipeline is verified against.
 
-Ratios are quoted to five decimal places, as published; counts are exact.
+Ratios are the published five-decimal strings, which a census report
+prints the same way, so verify compares them as text; counts are exact.
 Entries beyond n=8 are out of desk-scale reach and kept for the
 extrapolation inputs and extended runs.
 """
-
-from __future__ import annotations
-
-from fractions import Fraction
 
 KNOWN_CLASS_COUNTS = {
     1: 1,
@@ -55,8 +52,3 @@ KNOWN_MAX_CLASSES = {1: 1, 2: 1, 3: 2, 4: 6, 5: 22, 6: 104, 7: 594, 8: 3978,
 
 # unlabeled simple graphs per vertex count (Stein & Stein / Oberschelp series)
 KNOWN_UNLABELED_GRAPHS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
-
-
-def matches_published_ratio(value: Fraction, published: str) -> bool:
-    """Agreement to the five published decimal places (half-a-unit tolerance)."""
-    return abs(value - Fraction(published)) <= Fraction(1, 200_000)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from mecensus import census, cli, markov, oracles, reference
+from mecensus import catalog, census, cli, markov, oracles, reference
 from mecensus.catalog import catalog_path, read_catalog
 
 
@@ -189,7 +189,8 @@ def test_generate_and_census_start_without_verify_only_modules(tmp_path):
              "print('loaded', sorted(set(sys.modules) - before))\n"
              "assert main(['verify', '--n', '4']) == 0\n"
              "assert main(['extrapolate', '--r-prev', '0.27443', '--r-cur', '0.27068',"
-             " '--n-cur', '8', '--n-target', '9']) == 0\n")
+             " '--n-cur', '8', '--n-target', '9']) == 0\n"
+             "print('after verify', 'fractions' in sys.modules, 'decimal' in sys.modules)\n")
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
@@ -199,6 +200,8 @@ def test_generate_and_census_start_without_verify_only_modules(tmp_path):
     assert loaded.isdisjoint({"dataclasses", "inspect", "fractions", "decimal", "pickle", "signal",
                               "mecensus.oracles", "mecensus.analysis", "mecensus.reference"})
     assert "all checks passed for n=4" in done.stdout
+    # verify and extrapolate compare strings and print floats: no exact-arithmetic module
+    assert done.stdout.splitlines()[-1] == "after verify False False"
 
 
 def test_census_from_catalogs_matches_regeneration(tmp_path, capsys):
@@ -399,6 +402,21 @@ def test_verify_catches_a_class_moved_from_size_1_to_size_2(capsys, monkeypatch)
     want = census.essential_dag_count(4)
     assert (f"FAIL size1_classes_vs_recurrence: expected {want}, got {want - 1}"
             in out.splitlines())
+
+
+def test_verify_catches_a_misprinted_ratio_line(capsys, monkeypatch):
+    real = catalog.report_lines
+
+    def misprinted(report, edges=None):
+        # the n=4 ratio line reads one unit high; every count stays right
+        return [ln.replace("ratio = 0.34070", "ratio = 0.34071")
+                for ln in real(report, edges)]
+
+    monkeypatch.setattr(catalog, "report_lines", misprinted)
+    code, out, _ = run(capsys, "verify", "--n", "4")
+    assert code == 1
+    fails = [ln for ln in out.splitlines() if ln.startswith("FAIL")]
+    assert fails == ["FAIL ratio_vs_published: expected 0.34070, got 0.34071"]
 
 
 def test_verify_report_and_totals_match_the_census_and_the_kernel():
