@@ -72,7 +72,10 @@ def read_catalog(path: Path | str) -> tuple[int, int, list[SkeletonRecord]]:
     """
     path = Path(path)
     with open(path, encoding="utf-8", newline="") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise CatalogError(f"{path}: {exc}") from None
     if not text:
         raise CatalogError(f"{path}: empty file")
     if not text.endswith("\n"):

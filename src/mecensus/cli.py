@@ -89,32 +89,44 @@ def cmd_census(args) -> int:
     return 0
 
 
+def _compare(got, want, key: str | None = None) -> tuple[bool, str]:
+    """(ok, detail) for one value, or with key for two tables {k: count} (missing k counts 0)."""
+    if key is None:
+        return got == want, f"expected {want}, got {got}"
+    bad = [k for k in got.keys() | want.keys() if got.get(k, 0) != want.get(k, 0)]
+    k = min(bad, default=None)
+    return not bad, f"first mismatch at {key}={k}: expected {want.get(k, 0)}, got {got.get(k, 0)}"
+
+
 def _verify_checks(n: int):
     """Yield (name, ok, detail) for every oracle applicable at this n.
 
-    Each skeleton is classified once: census_rows folds skeleton_rows as they
-    stream past, and tallied keeps each row's orientation total, sum(size * count).
+    Each check is one row (name, got, want), or (name, got, want, key) for
+    tables, for _compare.  Each skeleton is classified once: census_rows folds
+    skeleton_rows as they stream past, and tallied keeps each skeleton's
+    orientation total, sum(size * count), by its code.
     """
     from . import oracles, reference  # verify-only; generate and census start without them
     records = list(iter_skeletons(n))
-    totals = []
+    orientations = {}
 
     def tallied(rows):
         for row in rows:
-            totals.append(sum(size * cnt for size, cnt in row[2].items()))
+            orientations[row[0].graph.code] = sum(size * cnt for size, cnt in row[2].items())
             yield row
 
     report = census_rows(n, tallied(skeleton_rows(records)))
-
-    by_edges = robinson_adgs_by_edges(n)
-    bad = [e for e, (got, want) in enumerate(zip(report.adgs_by_edges, by_edges)) if got != want]
-    yield ("adgs_by_edges_vs_recurrence", not bad,
-           f"first mismatch at e={bad[0]}: expected {by_edges[bad[0]]}, "
-           f"got {report.adgs_by_edges[bad[0]]}" if bad else "all layers agree")
-
-    # the report as census --out writes it, each printed field against its expected string
+    # the report as census --out writes it: each printed field against its expected string
     printed = dict(line.split(" = ", 1) for line in catalog.report_lines(report))
-    for name, field, want in (
+    m = pair_count(n)
+    labelled = Counter()
+    for rec in records:
+        labelled[rec.graph.edge_count] += rec.labellings
+
+    rows = [
+        ("adgs_by_edges_vs_recurrence", dict(enumerate(report.adgs_by_edges)),
+         dict(enumerate(robinson_adgs_by_edges(n))), "e"),
+        *[(name, printed[field], str(want)) for name, field, want in (
             ("adg_total_vs_recurrence", "total_adgs", robinson_adg_count(n)),
             ("size1_classes_vs_recurrence", "size1_classes", essential_dag_count(n)),
             ("class_total_vs_published", "total_classes", reference.KNOWN_CLASS_COUNTS[n]),
@@ -122,41 +134,21 @@ def _verify_checks(n: int):
             ("size1_ratio_vs_published", "size1_ratio", reference.KNOWN_SIZE1_RATIOS[n]),
             ("max_vconfigs_vs_published", "max_vconfigs", reference.KNOWN_MAX_VCONFIGS[n]),
             ("max_classes_vs_published", "max_classes_per_skeleton",
-             reference.KNOWN_MAX_CLASSES[n])):
-        got = printed[field]
-        yield (name, got == str(want), f"expected {want}, got {got}")
-
-    want = reference.KNOWN_UNLABELED_GRAPHS[n]
-    yield ("unlabeled_total_vs_published", len(records) == want,
-           f"expected {want}, got {len(records)}")
-
-    m = pair_count(n)
-    bad = [(e, got, want) for e, recs in groupby(records, key=attrgetter("graph.edge_count"))
-           if (got := sum(r.labellings for r in recs)) != (want := comb(m, e))]
-    yield ("labelled_graphs_per_layer", not bad,
-           "mismatches at " + ", ".join(f"e={e}: got {g}, want {w}" for e, g, w in bad[:3])
-           if bad else "all layers sum to C(m, e)")
-
-    mism = [(rec.graph.code, want, got) for rec, got in zip(records, totals)
-            if (want := oracles.acyclic_orientation_count(rec.graph)) != got]
-    yield ("orientation_count_vs_source_sets", not mism,
-           f"first mismatch {mism[0]}" if mism else "all skeletons agree")
-
+             reference.KNOWN_MAX_CLASSES[n]))],
+        ("unlabeled_total_vs_published", len(records), reference.KNOWN_UNLABELED_GRAPHS[n]),
+        ("labelled_graphs_per_layer", labelled, {e: comb(m, e) for e in range(m + 1)}, "e"),
+        ("orientation_count_vs_source_sets", orientations,
+         {rec.graph.code: oracles.acyclic_orientation_count(rec.graph) for rec in records},
+         "code"),
+    ]
     if n <= 6:
-        brute = oracles.brute_force_unlabeled(n)
-        ours = sorted(rec.graph.code for rec in records)
-        yield ("canonical_codes_vs_brute_force", brute == ours,
-               f"{len(set(brute) ^ set(ours))} codes differ" if brute != ours else "identical")
-
+        rows.append(("canonical_codes_vs_brute_force", Counter(rec.graph.code for rec in records),
+                     Counter(oracles.brute_force_unlabeled(n)), "code"))
     if n <= 5:
-        bf = oracles.brute_force_census(n)
-        ok = (bf.total_dags == report.total_adgs
-              and bf.dags_by_edges == report.adgs_by_edges
-              and len(bf.classes) == report.total_classes
-              and Counter(bf.classes.values()) == report.size_histogram)
-        yield ("full_distribution_vs_brute_force", ok,
-               f"DAGs {bf.total_dags}/{report.total_adgs}, "
-               f"classes {len(bf.classes)}/{report.total_classes}")
+        rows.append(("full_distribution_vs_brute_force", report.joint,
+                     oracles.brute_force_census(n), "(e, size)"))
+    for name, got, want, *key in rows:
+        yield (name, *_compare(got, want, *key))
 
 
 def cmd_verify(args) -> int:

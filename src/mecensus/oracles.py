@@ -1,7 +1,8 @@
 """Brute-force references used only for verification.
 
 Everything here is deliberately naive and shares nothing with the main
-pipeline beyond the graph coding: digraphs are enumerated pair by pair,
+pipeline beyond the graph coding: digraphs are enumerated pair by pair
+into the census's joint table of classes per (arc count, class size),
 canonical forms are taken over all n! permutations, acyclic orientations
 are listed one edge direction at a time as per-vertex parent masks,
 keyed by the v-configurations whose two parents are both set and joined
@@ -13,54 +14,44 @@ fails the build.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 from .graphs import Graph, apply_permutation, iter_pairs, pair_index
 
 
-class LabeledDagCensus:
-    def __init__(self, n: int, total_dags: int, dags_by_edges: list[int],
-                 classes: dict[tuple[int, frozenset], int]):
-        self.n, self.total_dags, self.dags_by_edges = n, total_dags, dags_by_edges
-        self.classes = classes  # (skeleton code, frozenset of immorality triples) -> class size
-
-
-def brute_force_census(n: int) -> LabeledDagCensus:
-    """All labeled DAGs on n vertices, partitioned by skeleton + immoralities.
+def brute_force_census(n: int) -> Counter:
+    """Counter{(arc count, class size): classes} of all labeled DAGs on n vertices.
 
     Walks every assignment of {absent, i->j, j->i} to every vertex pair,
-    which caps the practical range at n <= 5 (3^10 states).
+    which caps the practical range at n <= 5 (3^10 states), and tallies
+    each DAG under its skeleton and immoralities; each distinct key is
+    one class, its tally the class size.  The result has the shape of
+    CensusReport.joint, for comparison cell by cell.
     """
     if not 1 <= n <= 5:
         raise ValueError("brute-force DAG census supported for 1 <= n <= 5 only")
     pairs = list(iter_pairs(n))
-    classes: dict[tuple[int, frozenset], int] = {}
-    by_edges = [0] * (len(pairs) + 1)
-    total = 0
+    sizes = Counter()  # (skeleton code, frozenset of immorality triples) -> class size
     for assignment in itertools.product((0, 1, 2), repeat=len(pairs)):
         parents: list[list[int]] = [[] for _ in range(n + 1)]
         skeleton = 0
-        arcs = 0
         for (i, j), a in zip(pairs, assignment):
             if a == 0:
                 continue
             skeleton |= 1 << pair_index(i, j)
-            arcs += 1
             if a == 1:
                 parents[j].append(i)  # i -> j
             else:
                 parents[i].append(j)  # j -> i
         if _has_cycle(n, parents):
             continue
-        total += 1
-        by_edges[arcs] += 1
         immoralities = set()
         for b in range(1, n + 1):
             for a, c in itertools.combinations(sorted(parents[b]), 2):
                 if not skeleton >> pair_index(a, c) & 1:
                     immoralities.add((a, b, c))
-        key = (skeleton, frozenset(immoralities))
-        classes[key] = classes.get(key, 0) + 1
-    return LabeledDagCensus(n=n, total_dags=total, dags_by_edges=by_edges, classes=classes)
+        sizes[skeleton, frozenset(immoralities)] += 1
+    return Counter((skeleton.bit_count(), size) for (skeleton, _), size in sizes.items())
 
 
 def _has_cycle(n: int, parents: list[list[int]]) -> bool:

@@ -99,10 +99,15 @@ def test_catalog_rejects_unsorted_codes(tmp_path):
     ("MECCAT 1 n=3 e=1 count=1\r\n4 3\r\n", r"bad header 'MECCAT 1 n=3 e=1 count=1\\r'"),
     ("MECCAT 1 n=3 e=1 count=1\n4 3\r\n", r"bad record '4 3\\r'"),
     ("MECCAT 1 n=3 e=1 count=1\n4 3", "no newline at end of file"),
+    (b"MECCAT 1 n=3 e=1 count=1\n\xff 3\n",
+     "'utf-8' codec can't decode byte 0xff in position 25: invalid start byte"),
 ])
 def test_catalog_rejects_malformed_field(tmp_path, text, message):
     p = tmp_path / "bad.cat"
-    p.write_text(text)
+    if isinstance(text, bytes):  # not UTF-8, so not writable as text
+        p.write_bytes(text)
+    else:
+        p.write_text(text)
     with pytest.raises(CatalogError, match=r"bad\.cat: " + message):
         read_catalog(p)
 

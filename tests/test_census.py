@@ -197,7 +197,8 @@ def test_robinson_small_values():
 
 def test_robinson_matches_brute_force_dag_counts():
     for n in range(1, 5):
-        assert robinson_adg_count(n) == brute_force_census(n).total_dags
+        table = brute_force_census(n)
+        assert robinson_adg_count(n) == sum(size * c for (_, size), c in table.items())
 
 
 def test_median_prediction():

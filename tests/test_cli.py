@@ -363,7 +363,8 @@ def test_verify_catches_injected_labelling_fault(capsys, monkeypatch):
     monkeypatch.setattr(census, "generate_all", skewed)
     code, out, _ = run(capsys, "verify", "--n", "4")
     assert code == 1
-    assert "FAIL" in out
+    assert ("FAIL labelled_graphs_per_layer: first mismatch at e=2: expected 15, got 17"
+            in out.splitlines())
 
 
 def test_verify_catches_an_adg_moved_between_layers(capsys, monkeypatch):
@@ -402,6 +403,26 @@ def test_verify_catches_a_class_moved_from_size_1_to_size_2(capsys, monkeypatch)
     want = census.essential_dag_count(4)
     assert (f"FAIL size1_classes_vs_recurrence: expected {want}, got {want - 1}"
             in out.splitlines())
+
+
+def test_verify_catches_classes_swapped_between_sizes_within_layers(capsys, monkeypatch):
+    real = cli.census_rows
+
+    def skewed(n, rows):
+        # classes change size within layers 3 and 4: every total, every layer's
+        # ADGs and classes, and the size histogram stay
+        report = real(n, rows)
+        for cell, step in (((4, 1), -1), ((4, 3), -1), ((4, 2), 2),
+                           ((3, 2), -2), ((3, 1), 1), ((3, 3), 1)):
+            report.joint[cell] = report.joint.get(cell, 0) + step
+        return report
+
+    monkeypatch.setattr(cli, "census_rows", skewed)
+    code, out, _ = run(capsys, "verify", "--n", "4")
+    assert code == 1
+    fails = [ln for ln in out.splitlines() if ln.startswith("FAIL")]
+    assert fails == ["FAIL full_distribution_vs_brute_force: "
+                     "first mismatch at (e, size)=(3, 1): expected 16, got 17"]
 
 
 def test_verify_catches_a_misprinted_ratio_line(capsys, monkeypatch):
@@ -495,8 +516,8 @@ def test_verify_names_a_skeleton_with_one_orientation_too_many(capsys, monkeypat
     code, out, _ = run(capsys, "verify", "--n", "5")
     assert code == 1
     want = oracles.acyclic_orientation_count(target)
-    assert (f"FAIL orientation_count_vs_source_sets: first mismatch "
-            f"({target.code}, {want}, {want + 1})") in out.splitlines()
+    assert (f"FAIL orientation_count_vs_source_sets: first mismatch at code={target.code}: "
+            f"expected {want}, got {want + 1}") in out.splitlines()
 
 
 def test_extrapolate_published_inputs(capsys):

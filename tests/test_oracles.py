@@ -4,8 +4,8 @@ from math import factorial
 
 import pytest
 
-from mecensus.census import census, iter_skeletons
-from mecensus.graphs import Graph, complete_graph, empty_graph, encode
+from mecensus.census import census, iter_skeletons, robinson_adgs_by_edges
+from mecensus.graphs import Graph, complete_graph, empty_graph, encode, pair_count
 from mecensus.markov import classify_skeleton, find_v_configurations
 from mecensus.oracles import (
     acyclic_orientation_count,
@@ -18,11 +18,10 @@ from mecensus.orderly import generate_all
 
 
 def test_brute_force_census_known_totals():
-    assert (brute_force_census(2).total_dags, len(brute_force_census(2).classes)) == (3, 2)
-    bf3 = brute_force_census(3)
-    assert (bf3.total_dags, len(bf3.classes)) == (25, 11)
-    bf4 = brute_force_census(4)
-    assert (bf4.total_dags, len(bf4.classes)) == (543, 185)
+    for n, dags, classes in ((2, 3, 2), (3, 25, 11), (4, 543, 185)):
+        table = brute_force_census(n)
+        assert sum(size * c for (_, size), c in table.items()) == dags
+        assert sum(table.values()) == classes
 
 
 def test_brute_force_census_rejects_large_n():
@@ -31,20 +30,17 @@ def test_brute_force_census_rejects_large_n():
 
 
 def test_brute_force_census_sizes_sum_to_dags():
-    for n in (2, 3, 4):
-        bf = brute_force_census(n)
-        assert sum(bf.classes.values()) == bf.total_dags
+    # class sizes summed per arc count: the recurrence's labelled DAGs per edge count
+    for n in (1, 2, 3, 4):
+        adgs = [0] * (pair_count(n) + 1)
+        for (e, size), c in brute_force_census(n).items():
+            adgs[e] += size * c
+        assert adgs == robinson_adgs_by_edges(n)
 
 
 def test_pipeline_matches_brute_force_distributions():
     for n in (2, 3, 4):
-        bf = brute_force_census(n)
-        r = census(n)
-        assert r.total_adgs == bf.total_dags
-        assert r.adgs_by_edges == bf.dags_by_edges
-        assert r.total_classes == len(bf.classes)
-        ours = sorted(s for size, cnt in r.size_histogram.items() for s in [size] * cnt)
-        assert ours == sorted(bf.classes.values())
+        assert census(n).joint == brute_force_census(n)
 
 
 def test_brute_force_unlabeled_counts():
