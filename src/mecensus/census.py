@@ -148,19 +148,34 @@ def _slices(items: list, jobs: int) -> list[list]:
     return [items[k::jobs] for k in range(jobs)]
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on, or 1 where it cannot fork.
+
+    The affinity mask where the host has one (Linux), else every CPU;
+    looked up at each call, so a changed mask counts.
+    """
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def census(n: int, skeletons: Iterable[SkeletonRecord] | None = None,
            jobs: int = 1) -> CensusReport:
     """Census for n vertices over `skeletons`, every skeleton by default.
 
     An edge slice is census(n, iter_skeletons(n, edges)).  Identical output
     for every job count: the skeletons are dealt round-robin into
-    min(jobs, usable CPUs, skeletons) slices; the calling process takes
+    min(jobs, usable_cpus(), skeletons) slices; the calling process takes
     the first and a forked child each of the others (os.fork, so a
-    caller with jobs > 1 must run no other threads).  Each child pickles
-    its report into a pipe; they are read and merged in slice order once
-    this process has done its own slice.  Slices share nothing, and
-    merging is exact integer arithmetic, so neither the split nor the
-    merge order shows.
+    caller with jobs > 1 must run no other threads).  jobs is 1 unless
+    asked for, since only the caller knows whether it runs threads; the
+    command line, which owns its process, asks for usable_cpus().  Each
+    child pickles its report into a pipe; they are read and merged in
+    slice order once this process has done its own slice.  Slices share
+    nothing, and merging is exact integer arithmetic, so neither the
+    split nor the merge order shows.
     Raises CensusWorkerError if a child exits non-zero or dies from a
     signal; on any error every child is killed and reaped.
     """
@@ -169,7 +184,7 @@ def census(n: int, skeletons: Iterable[SkeletonRecord] | None = None,
     if skeletons is None:
         skeletons = iter_skeletons(n)
     skeletons = list(skeletons)
-    workers = min(jobs, len(os.sched_getaffinity(0)), len(skeletons))
+    workers = min(jobs, usable_cpus(), len(skeletons))
     own, *rest = _slices(skeletons, max(workers, 1))  # one slice, maybe empty, at the least
     pids: list[int | None] = []  # None once reaped
     pipes: list[int] = []  # read ends, one per child

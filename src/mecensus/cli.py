@@ -27,8 +27,16 @@ from .census import (
     robinson_adg_count,
     robinson_adgs_by_edges,
     skeleton_rows,
+    usable_cpus,
 )
 from .graphs import MAX_VERTICES, pair_count
+
+
+def _digits(text: str) -> int:
+    """argparse type for a count, by the rule _parse_edges applies to each bound."""
+    if re.fullmatch(r"\d+", text, re.ASCII) is None:
+        raise argparse.ArgumentTypeError(f"expected ASCII digits, got {text!r}")
+    return int(text)
 
 
 def _parse_edges(text: str, m: int) -> tuple[int, int]:
@@ -182,16 +190,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write graph catalog files")
-    p.add_argument("--n", type=int, required=True, choices=range(1, MAX_VERTICES + 1))
+    p.add_argument("--n", type=_digits, required=True, choices=range(1, MAX_VERTICES + 1))
     p.add_argument("--graphs", default="graphs", help="catalog output directory")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("census", help="run a census and emit a report")
-    p.add_argument("--n", type=int, required=True, choices=range(1, MAX_VERTICES + 1))
+    p.add_argument("--n", type=_digits, required=True, choices=range(1, MAX_VERTICES + 1))
     p.add_argument("--edges", help="restrict to an edge count or range")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_digits, default=usable_cpus(),
                    help="processes, one slice each: this one plus up to N-1 forked "
-                        "children; at most one per usable CPU")
+                        "children; at most one per usable CPU (default: every usable "
+                        "CPU, %(default)s here)")
     p.add_argument("--graphs", help="catalog directory to read instead of generating")
     p.add_argument("--out", help="report file path (default: print to stdout)")
     p.add_argument("--format", choices=("report", "csv"), default="report",
@@ -199,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("verify", help="run the oracle suite")
-    p.add_argument("--n", type=int, required=True, choices=range(1, 9))
+    p.add_argument("--n", type=_digits, required=True, choices=range(1, 9))
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("extrapolate", help="extrapolate the class/ADG ratio")

@@ -26,6 +26,7 @@ from mecensus.census import (
     merge,
     robinson_adg_count,
     robinson_adgs_by_edges,
+    usable_cpus,
 )
 from mecensus.markov import classify_skeleton
 from mecensus.oracles import brute_force_census
@@ -124,6 +125,26 @@ def test_census_never_forks_more_than_usable_cpus(monkeypatch):
     for jobs in (1, 8):
         assert census(5, jobs=jobs) == serial
     assert forks == [2, 8, 17]
+
+
+def test_census_without_sched_getaffinity_counts_every_cpu(monkeypatch):
+    # as on macOS: no affinity mask, so every CPU the host reports is usable
+    serial = census(5)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert usable_cpus() == 2
+    assert census(3) == census(3, jobs=2)
+    assert census(5, jobs=2) == serial
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # the count is undetermined
+    assert usable_cpus() == 1
+    assert census(5, jobs=2) == serial
+
+
+def test_census_without_fork_runs_one_slice(monkeypatch):
+    serial = census(5)
+    monkeypatch.delattr(os, "fork")
+    assert usable_cpus() == 1
+    assert census(5, jobs=4) == serial
 
 
 def test_census_kills_and_reaps_children_when_its_own_slice_raises(monkeypatch):

@@ -80,6 +80,27 @@ def test_census_jobs3_matches_serial_n6(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
+def test_census_default_uses_every_usable_cpu(tmp_path, capsys, monkeypatch):
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(n)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    for n in ("5", "6"):
+        outputs = []
+        for jobs in ([], ["--jobs", "1"]):
+            path = tmp_path / f"r{n}{len(jobs)}.txt"
+            assert run(capsys, "census", "--n", n, *jobs, "--out", str(path))[0] == 0
+            outputs.append(path.read_bytes())
+        assert outputs[0] == outputs[1]
+    # the caller takes one of three slices and forks a child for each of the others
+    assert forks == ["5", "5", "6", "6"]
+
+
 def _fail_in_children(monkeypatch, fail):
     """Patch census_skeletons to run as before in this process and call fail() in a child."""
     caller, real = os.getpid(), census.census_skeletons
@@ -181,10 +202,14 @@ def test_cli_import_leaves_process_pool_out():
 def test_generate_and_census_start_without_verify_only_modules(tmp_path):
     # every module kept off the start path saves its import and compile time
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-    probe = ("import sys\n"
+    # a census that forks nothing loads neither pickle nor signal: one job asked
+    # for, or the default on one usable CPU
+    probe = ("import os, sys\n"
              "before = set(sys.modules)\n"
              "from mecensus.cli import main\n"
              f"assert main(['generate', '--n', '5', '--graphs', {str(tmp_path)!r}]) == 0\n"
+             "assert main(['census', '--n', '5', '--jobs', '1']) == 0\n"
+             "os.sched_getaffinity = lambda pid: {0}\n"
              "assert main(['census', '--n', '5']) == 0\n"
              "print('loaded', sorted(set(sys.modules) - before))\n"
              "assert main(['verify', '--n', '4']) == 0\n"
@@ -341,6 +366,21 @@ def test_census_rejects_bad_edge_range(capsys):
         assert code == 2
         assert stdout == ""
         assert err == f"error: --edges {edges!r}: expected E or LO..HI\n"
+
+
+@pytest.mark.parametrize("argv", [("generate", "--n"), ("census", "--n"), ("verify", "--n"),
+                                  ("census", "--n", "3", "--jobs")])
+def test_counts_take_ascii_digits_alone(argv, tmp_path, monkeypatch, capsys):
+    # int() reads these as 10, 2, 2 and 3
+    monkeypatch.chdir(tmp_path)
+    for text in ("1_0", "+2", " 2", "٣"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, text])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"expected ASCII digits, got {text!r}" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_passes_small_n(capsys):
