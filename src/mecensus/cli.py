@@ -39,6 +39,13 @@ def _digits(text: str) -> int:
     return int(text)
 
 
+def _ratio(text: str) -> float:
+    """argparse type for a ratio: ASCII digits, then optionally '.' and more ASCII digits."""
+    if re.fullmatch(r"\d+(?:\.\d+)?", text, re.ASCII) is None:
+        raise argparse.ArgumentTypeError(f"expected ASCII digits[.digits], got {text!r}")
+    return float(text)
+
+
 def _parse_edges(text: str, m: int) -> tuple[int, int]:
     # ASCII digits alone: int() also takes signs, spaces, underscores and other scripts
     bounds = re.fullmatch(r"(\d+)(?:\.\.(\d+))?", text, re.ASCII)
@@ -212,10 +219,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("extrapolate", help="extrapolate the class/ADG ratio")
-    p.add_argument("--r-prev", type=float, required=True, dest="r_prev")
-    p.add_argument("--r-cur", type=float, required=True, dest="r_cur")
-    p.add_argument("--n-cur", type=int, required=True, dest="n_cur")
-    p.add_argument("--n-target", type=int, required=True, dest="n_target")
+    p.add_argument("--r-prev", type=_ratio, required=True, dest="r_prev")
+    p.add_argument("--r-cur", type=_ratio, required=True, dest="r_cur")
+    p.add_argument("--n-cur", type=_digits, required=True, dest="n_cur")
+    p.add_argument("--n-target", type=_digits, required=True, dest="n_target")
     p.set_defaults(func=cmd_extrapolate)
 
     return parser

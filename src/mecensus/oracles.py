@@ -3,20 +3,21 @@
 Everything here is deliberately naive and shares nothing with the main
 pipeline beyond the graph coding: digraphs are enumerated pair by pair
 into the census's joint table of classes per (arc count, class size),
-canonical forms are taken over all n! permutations, acyclic orientations
-are listed one edge direction at a time as per-vertex parent masks,
-keyed by the v-configurations whose two parents are both set and joined
-into classes by covered-arc reversal, and acyclic orientation counts come
-from inclusion-exclusion over source sets.  Disagreement with the pipeline
-fails the build.
+codes and |Aut| come from one table of the n! relabellings, acyclic
+orientations are listed one edge direction at a time as per-vertex parent
+masks, keyed by the v-configurations whose two parents are both set and
+joined into classes by covered-arc reversal, and acyclic orientation
+counts come from inclusion-exclusion over source sets.  Disagreement with
+the pipeline fails the build.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
+from functools import cache
 
-from .graphs import Graph, apply_permutation, iter_pairs, pair_index
+from .graphs import Graph, iter_pairs, pair_count, pair_index
 
 
 def brute_force_census(n: int) -> Counter:
@@ -73,6 +74,19 @@ def _has_cycle(n: int, parents: list[list[int]]) -> bool:
     return seen != n
 
 
+@cache
+def _moves(n: int) -> list[list[int]]:
+    """Per relabelling of 1..n, the bit each pair's bit moves to, pairs in bit order."""
+    return [[1 << pair_index(*sorted((p[i - 1], p[j - 1]))) for i, j in iter_pairs(n)]
+            for p in itertools.permutations(range(1, n + 1))]
+
+
+def _images(n: int, code: int) -> list[int]:
+    """The code of every relabelling of (n, code), in _moves order."""
+    present = [k for k in range(pair_count(n)) if code >> k & 1]
+    return [sum(move[k] for k in present) for move in _moves(n)]
+
+
 def brute_force_unlabeled(n: int) -> list[int]:
     """Canonical codes of all unlabeled graphs on n vertices, ascending.
 
@@ -82,26 +96,23 @@ def brute_force_unlabeled(n: int) -> list[int]:
     """
     if not 1 <= n <= 6:
         raise ValueError("brute-force unlabeled enumeration supported for 1 <= n <= 6 only")
-    pairs = list(iter_pairs(n))
-    # per relabelling, the bit each pair's bit moves to
-    moves = [[1 << pair_index(*sorted((p[i - 1], p[j - 1]))) for i, j in pairs]
-             for p in itertools.permutations(range(1, n + 1))]
-    marked = bytearray(1 << len(pairs))
+    marked = set()
     out = []
-    for code in range(len(marked)):
-        if not marked[code]:
-            present = [k for k in range(len(pairs)) if code >> k & 1]
-            images = [sum(move[k] for k in present) for move in moves]
-            for image in images:
-                marked[image] = 1
+    for code in range(1 << pair_count(n)):
+        if code not in marked:
+            images = _images(n, code)
+            marked.update(images)
             out.append(max(images))
     return sorted(out)
 
 
-def is_canonical_exhaustive(g: Graph) -> bool:
-    """True iff none of the n! relabellings of g yields a strictly larger code."""
-    return all(apply_permutation(g, perm).code <= g.code
-               for perm in itertools.permutations(range(1, g.n + 1)))
+def brute_force_search(g: Graph) -> tuple[int, int]:
+    """(largest code, relabellings that keep g's code) over the n! relabellings of g.
+
+    That is orderly.canonical_search(n, adjacency_masks(g)): (maximal code, |Aut|).
+    """
+    images = _images(g.n, g.code)
+    return max(images), images.count(g.code)
 
 
 def enumerate_acyclic_orientations(g: Graph) -> list[tuple[int, ...]]:

@@ -18,6 +18,20 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def usage_error(capsys, *argv) -> str:
+    """stderr of a command line that argparse rejects: exit code 2, nothing on stdout."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    return err
+
+
+# a valid extrapolate command line: an option repeated after it overrides its value
+EXTRAPOLATE = ("extrapolate", "--r-prev", "0.3", "--r-cur", "0.2",
+               "--n-cur", "10", "--n-target", "12")
+
+
 def test_generate_writes_all_layers(tmp_path, capsys):
     code, out, _ = run(capsys, "generate", "--n", "5", "--graphs", str(tmp_path))
     assert code == 0
@@ -155,7 +169,7 @@ def test_verify_and_chi2_run_without_numpy():
              "from mecensus.census import census\n"
              "from mecensus.graphs import Graph\n"
              "assert cli.main(['verify', '--n', '4']) == 0\n"
-             "assert oracles.is_canonical_exhaustive(Graph(4, 63))\n"
+             "assert oracles.brute_force_search(Graph(4, 63)) == (63, 24)\n"
              "print(gaussian_chi2(census(5).classes_by_edges))")
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True)
@@ -369,18 +383,22 @@ def test_census_rejects_bad_edge_range(capsys):
 
 
 @pytest.mark.parametrize("argv", [("generate", "--n"), ("census", "--n"), ("verify", "--n"),
-                                  ("census", "--n", "3", "--jobs")])
+                                  ("census", "--n", "3", "--jobs"),
+                                  (*EXTRAPOLATE, "--n-cur"), (*EXTRAPOLATE, "--n-target")])
 def test_counts_take_ascii_digits_alone(argv, tmp_path, monkeypatch, capsys):
-    # int() reads these as 10, 2, 2 and 3
+    # int() reads these as 10, 2, 2, 3 and -5
     monkeypatch.chdir(tmp_path)
-    for text in ("1_0", "+2", " 2", "٣"):
-        with pytest.raises(SystemExit) as exc:
-            cli.main([*argv, text])
-        assert exc.value.code == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert f"expected ASCII digits, got {text!r}" in err
+    for text in ("1_0", "+2", " 2", "٣", "-5"):
+        assert f"expected ASCII digits, got {text!r}" in usage_error(capsys, *argv, text)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--r-prev", "--r-cur"])
+def test_ratios_take_ascii_decimals_alone(flag, capsys):
+    # float() reads all of these, the last as 0.27068
+    for text in ("0.2_7", " 0.3", "1e-1", ".5", "5.", "inf", "nan", "٠.٢٧٠٦٨"):
+        err = usage_error(capsys, *EXTRAPOLATE, flag, text)
+        assert f"expected ASCII digits[.digits], got {text!r}" in err
 
 
 def test_verify_passes_small_n(capsys):
@@ -579,7 +597,7 @@ def test_extrapolate_rejects_increasing_ratios(capsys):
 
 def test_extrapolate_rejects_n_cur_below_2(capsys):
     # r_prev is the ratio at n_cur - 1, which must be a vertex count of at least 1
-    for n_cur in ("-5", "0", "1"):
+    for n_cur in ("0", "1"):
         code, out, err = run(capsys, "extrapolate", "--r-prev", "0.3",
                              "--r-cur", "0.2", "--n-cur", n_cur, "--n-target", "4")
         assert code == 2
@@ -587,7 +605,7 @@ def test_extrapolate_rejects_n_cur_below_2(capsys):
         assert err == "error: n_cur must be >= 2\n"
 
 
-@pytest.mark.parametrize("r_prev, r_cur", [("inf", "inf"), ("nan", "0.3"), ("2", "1.5")])
+@pytest.mark.parametrize("r_prev, r_cur", [("2", "1.5")])
 def test_extrapolate_rejects_ratios_that_are_not_proportions(r_prev, r_cur, capsys):
     code, out, err = run(capsys, "extrapolate", "--r-prev", r_prev,
                          "--r-cur", r_cur, "--n-cur", "10", "--n-target", "12")

@@ -1,4 +1,3 @@
-import itertools
 from collections import Counter
 from math import comb, factorial
 
@@ -14,7 +13,7 @@ from mecensus.graphs import (
     encode,
     pair_count,
 )
-from mecensus.oracles import brute_force_unlabeled, is_canonical_exhaustive
+from mecensus.oracles import brute_force_search, brute_force_unlabeled
 from mecensus.orderly import (
     augment_children,
     automorphism_group_size,
@@ -23,11 +22,6 @@ from mecensus.orderly import (
     generate_all,
     is_canonical,
 )
-
-
-def brute_max_code(g: Graph) -> int:
-    return max(apply_permutation(g, p).code
-               for p in itertools.permutations(range(1, g.n + 1)))
 
 
 def test_augment_children_examples():
@@ -49,7 +43,7 @@ def test_canonical_search_stops_at_first_differing_column():
     # 0x7206 (edges 13,23,45,36,46,56) is canonical at n=6 although vertex
     # 5 has a larger degree than the top vertex's other neighbours
     g = Graph(6, 0x7206)
-    assert is_canonical_exhaustive(g)
+    assert brute_force_search(g) == (g.code, 4)
     assert canonical_search(6, adjacency_masks(g), g.code) == (g.code, 4)
     # the edge 12 beside an isolated vertex 3: column 3 reads 00 where 10
     # is reachable, so the search stops there with |Aut| unset
@@ -68,12 +62,13 @@ def test_is_canonical_small_examples():
 
 
 def test_is_canonical_matches_exhaustive_search():
-    for n in (3, 4, 5):
+    # the relabellings that keep g's code are its automorphisms
+    for n in range(1, 6):
         for code in range(1 << pair_count(n)):
             g = Graph(n, code)
-            want = brute_max_code(g) == code
-            assert is_canonical(g) == want
-            assert is_canonical_exhaustive(g) == want
+            best, aut = brute_force_search(g)
+            assert canonical_search(n, adjacency_masks(g)) == (best, aut)
+            assert is_canonical(g) == (best == code)
 
 
 def test_eleven_canonical_graphs_for_n4():
@@ -86,7 +81,7 @@ def test_canonicalize_examples_and_idempotence():
     for n in (4, 5):
         for code in range(1 << pair_count(n)):
             g = canonicalize(Graph(n, code))
-            assert g.code == brute_max_code(Graph(n, code))
+            assert g.code == brute_force_search(Graph(n, code))[0]
             assert canonicalize(g) == g
 
 
@@ -138,8 +133,8 @@ def test_layers_strictly_descending():
 def test_every_generated_graph_is_canonical():
     for n in (5, 6):
         for layer in generate_all(n):
-            for g in layer.graphs:
-                assert is_canonical_exhaustive(g)
+            for g, labellings in zip(layer.graphs, layer.labellings):
+                assert brute_force_search(g) == (g.code, factorial(n) // labellings)
 
 
 def test_orderly_unique_parent_property():
@@ -162,11 +157,6 @@ def test_complementation_consistency():
         for e in range(m + 1):
             mirrored = sorted(canonicalize(complement(g)).code for g in layers[m - e].graphs)
             assert mirrored == sorted(g.code for g in layers[e].graphs)
-
-
-def brute_aut(g: Graph) -> int:
-    return sum(1 for p in itertools.permutations(range(1, g.n + 1))
-               if apply_permutation(g, p) == g)
 
 
 def test_complete_graph_full_symmetry():
@@ -198,7 +188,7 @@ def test_path_swaps_leaves():
 
 def test_edge_plus_isolated_pair():
     g = encode({(3, 4)}, 4)
-    assert brute_aut(g) == 4  # computed over all 24 permutations
+    assert brute_force_search(g) == (g.code, 4)  # over all 24 permutations
     assert automorphism_group_size(g) == 4
 
 
@@ -206,7 +196,7 @@ def test_matches_brute_force_on_canonical_graphs():
     for n in (3, 4, 5):
         for layer in generate_all(n):
             for g in layer.graphs:
-                assert automorphism_group_size(g) == brute_aut(g)
+                assert (g.code, automorphism_group_size(g)) == brute_force_search(g)
 
 
 def test_group_order_divides_factorial():
