@@ -605,13 +605,19 @@ def test_extrapolate_rejects_n_cur_below_2(capsys):
         assert err == "error: n_cur must be >= 2\n"
 
 
-@pytest.mark.parametrize("r_prev, r_cur", [("2", "1.5")])
+@pytest.mark.parametrize("r_prev, r_cur", [("inf", "inf"), ("nan", "0.3"), ("2", "1.5")])
 def test_extrapolate_rejects_ratios_that_are_not_proportions(r_prev, r_cur, capsys):
-    code, out, err = run(capsys, "extrapolate", "--r-prev", r_prev,
-                         "--r-cur", r_cur, "--n-cur", "10", "--n-target", "12")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: need 0 < r_cur <= r_prev <= 1")
+    argv = ("extrapolate", "--r-prev", r_prev, "--r-cur", r_cur,
+            "--n-cur", "10", "--n-target", "12")
+    if r_prev in ("inf", "nan"):
+        # not ASCII decimals, so argparse rejects them before extrapolate_ratio
+        err = usage_error(capsys, *argv)
+        assert f"expected ASCII digits[.digits], got {r_prev!r}" in err
+    else:
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: need 0 < r_cur <= r_prev <= 1")
 
 
 def test_unknown_command_is_usage_error(capsys):
