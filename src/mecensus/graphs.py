@@ -11,7 +11,7 @@ codes of different sizes share the same layout for their common pairs.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 MAX_VERTICES = 12  # codes stay within a 66-bit budget
 
@@ -62,14 +62,6 @@ class Graph(namedtuple("Graph", "n code")):
         return out
 
 
-def empty_graph(n: int) -> Graph:
-    return Graph(n, 0)
-
-
-def complete_graph(n: int) -> Graph:
-    return Graph(n, (1 << pair_count(n)) - 1)
-
-
 def encode(edges: Iterable[tuple[int, int]], n: int) -> Graph:
     """Build a graph from vertex pairs; loops and out-of-range pairs rejected."""
     code = 0
@@ -97,19 +89,3 @@ def adjacency_masks(g: Graph) -> list[int]:
         masks[j - 1] |= 1 << (i - 1)
         c ^= low
     return masks
-
-
-def apply_permutation(g: Graph, perm: Sequence[int]) -> Graph:
-    """Relabel: vertex v becomes perm[v-1].  perm must be a bijection on 1..n."""
-    if sorted(perm) != list(range(1, g.n + 1)):
-        raise ValueError(f"not a bijection on 1..{g.n}: {perm!r}")
-    code = 0
-    c = g.code
-    for i, j in iter_pairs(g.n):
-        if c & 1:
-            a, b = perm[i - 1], perm[j - 1]
-            if a > b:
-                a, b = b, a
-            code |= 1 << pair_index(a, b)
-        c >>= 1
-    return Graph(g.n, code)

@@ -3,7 +3,8 @@
 Everything here is deliberately naive and shares nothing with the main
 pipeline beyond the graph coding: digraphs are enumerated pair by pair
 into the census's joint table of classes per (arc count, class size),
-codes and |Aut| come from one table of the n! relabellings, acyclic
+codes and |Aut| come from one table of the n! relabellings, a single
+relabelling moves a graph's edges one pair at a time, acyclic
 orientations are listed one edge direction at a time as per-vertex parent
 masks, keyed by the v-configurations whose two parents are both set and
 joined into classes by covered-arc reversal, and acyclic orientation
@@ -16,6 +17,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from functools import cache
+from typing import Sequence
 
 from .graphs import Graph, iter_pairs, pair_count, pair_index
 
@@ -113,6 +115,22 @@ def brute_force_search(g: Graph) -> tuple[int, int]:
     """
     images = _images(g.n, g.code)
     return max(images), images.count(g.code)
+
+
+def apply_permutation(g: Graph, perm: Sequence[int]) -> Graph:
+    """Relabel: vertex v becomes perm[v-1].  perm must be a bijection on 1..n."""
+    if sorted(perm) != list(range(1, g.n + 1)):
+        raise ValueError(f"not a bijection on 1..{g.n}: {perm!r}")
+    code = 0
+    c = g.code
+    for i, j in iter_pairs(g.n):
+        if c & 1:
+            a, b = perm[i - 1], perm[j - 1]
+            if a > b:
+                a, b = b, a
+            code |= 1 << pair_index(a, b)
+        c >>= 1
+    return Graph(g.n, code)
 
 
 def enumerate_acyclic_orientations(g: Graph) -> list[tuple[int, ...]]:

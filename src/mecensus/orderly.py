@@ -26,6 +26,7 @@ labelled-copy count, n!/|Aut|, the weight the census gives it.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import factorial
 from typing import Iterator
 
@@ -107,26 +108,10 @@ def canonical_search(n: int, adj: list[int], target: int = -1) -> tuple[int, int
     return code, sum(states.values())
 
 
-def automorphism_group_size(g: Graph) -> int:
-    """Number of relabellings that reproduce g exactly."""
-    return canonical_search(g.n, adjacency_masks(g))[1]
-
-
-def is_canonical(g: Graph) -> bool:
-    """True iff no relabelling yields a strictly larger code."""
-    return canonical_search(g.n, adjacency_masks(g), g.code)[0] == g.code
-
-
-def canonicalize(g: Graph) -> Graph:
-    """The relabelling of g with maximal code; idempotent, isomorphism-invariant."""
-    return Graph(g.n, canonical_search(g.n, adjacency_masks(g))[0])
-
-
-class GenerationLayer:
+class GenerationLayer(namedtuple("GenerationLayer", "n edge_count graphs labellings")):
     """One edge layer: graphs in strictly descending code, and n!/|Aut| of each."""
 
-    def __init__(self, n: int, edge_count: int, graphs: list[Graph], labellings: list[int]):
-        self.n, self.edge_count, self.graphs, self.labellings = n, edge_count, graphs, labellings
+    __slots__ = ()
 
 
 def generate_all(n: int) -> Iterator[GenerationLayer]:
@@ -134,7 +119,7 @@ def generate_all(n: int) -> Iterator[GenerationLayer]:
 
     Layers up to floor(m/2) are grown by augmentation (so the middle layer,
     when m is even, never goes through complementation); the rest mirror the
-    lower half through complement + canonicalize.  Each kept graph is
+    lower half through complement + canonical_search.  Each kept graph is
     searched once, and its |Aut| travels with it until it becomes the
     labelled-copy count n!/|Aut|.  A child's neighbour masks are its
     parent's plus the one new edge.

@@ -26,10 +26,10 @@ from mecensus.census import (
     robinson_adg_count,
     robinson_adgs_by_edges,
 )
-from mecensus.graphs import complete_graph, encode, pair_count
+from mecensus.graphs import Graph, adjacency_masks, complement, encode, pair_count
 from mecensus.markov import classify_skeleton
 from mecensus.oracles import brute_force_census
-from mecensus.orderly import canonicalize, generate_all
+from mecensus.orderly import canonical_search, generate_all
 from mecensus.reference import (
     KNOWN_CLASS_COUNTS,
     KNOWN_MAX_CLASSES,
@@ -77,10 +77,10 @@ def test_criterion_2_per_skeleton_maxima(reports):
     for n in range(3, 7):
         # below n=7 both maxima sit on the balanced complete bipartite graph
         a, b = n // 2, (n + 1) // 2
-        bal = canonicalize(encode(
-            {(i, j) for i in range(1, a + 1) for j in range(a + 1, n + 1)}, n))
-        assert bal.code in reports[n].max_vconfig_codes
-        assert bal.code in reports[n].max_class_codes
+        bal = encode({(i, j) for i in range(1, a + 1) for j in range(a + 1, n + 1)}, n)
+        code = canonical_search(n, adjacency_masks(bal))[0]
+        assert code in reports[n].max_vconfig_codes
+        assert code in reports[n].max_class_codes
     print(f"PASS criterion 2: per-skeleton maxima match for n=1..{MAX_N}")
 
 
@@ -141,9 +141,10 @@ def test_criterion_6_structural_identities(reports):
                 table = classify_skeleton(g)
                 assert sum(table.classes.values()) == table.total_orientations
     for n in range(3, MAX_N + 1):
-        assert classify_skeleton(complete_graph(n)).classes == {0: factorial(n)}
-        path = canonicalize(encode({(v, v + 1) for v in range(1, n)}, n))
-        assert classify_skeleton(path).classes[0] == n
+        assert classify_skeleton(complement(Graph(n, 0))).classes == {0: factorial(n)}
+        path = encode({(v, v + 1) for v in range(1, n)}, n)
+        canon = Graph(n, canonical_search(n, adjacency_masks(path))[0])
+        assert classify_skeleton(canon).classes[0] == n
     print(f"PASS criterion 6: labelling sums, class-size totals, complete-graph "
           f"and path class sizes hold (n<={MAX_N})")
 

@@ -3,6 +3,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from collections import Counter
 from math import comb
 from pathlib import Path
 
@@ -197,6 +198,29 @@ def test_package_has_no_assert_statement():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_pipeline_modules_define_no_test_only_name():
+    # every public def and class of the pipeline is referred to elsewhere in the
+    # package, by name or attribute; oracles and reference are the references
+    # and data that tests read, and analysis waits for its callers
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+             for p in Path(cli.__file__).parent.glob("*.py")}
+
+    def names(node):
+        return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                       if isinstance(n, (ast.Name, ast.Attribute)))
+
+    used = sum(map(names, trees.values()), Counter())
+    exempt = {"cli.main",  # the console entry point
+              "graphs.encode"}  # the checked edge-list constructor that tests build graphs with
+    unused = [f"{module}.{node.name}"
+              for module in ("graphs", "orderly", "markov", "census", "catalog", "cli")
+              for node in trees[module].body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and f"{module}.{node.name}" not in exempt
+              and used[node.name] == names(node)[node.name]]
+    assert unused == []
 
 
 def test_cli_import_leaves_process_pool_out():
@@ -415,7 +439,7 @@ def test_verify_catches_injected_labelling_fault(capsys, monkeypatch):
     def skewed(n):
         for layer in real(n):
             if layer.edge_count == 2:
-                layer.labellings = [lab + 1 for lab in layer.labellings]
+                layer = layer._replace(labellings=[lab + 1 for lab in layer.labellings])
             yield layer
 
     monkeypatch.setattr(census, "generate_all", skewed)

@@ -7,21 +7,12 @@ from mecensus import orderly
 from mecensus.graphs import (
     Graph,
     adjacency_masks,
-    apply_permutation,
     complement,
-    complete_graph,
     encode,
     pair_count,
 )
-from mecensus.oracles import brute_force_search, brute_force_unlabeled
-from mecensus.orderly import (
-    augment_children,
-    automorphism_group_size,
-    canonical_search,
-    canonicalize,
-    generate_all,
-    is_canonical,
-)
+from mecensus.oracles import apply_permutation, brute_force_search, brute_force_unlabeled
+from mecensus.orderly import augment_children, canonical_search, generate_all
 
 
 def test_augment_children_examples():
@@ -53,12 +44,13 @@ def test_canonical_search_stops_at_first_differing_column():
 
 
 def test_is_canonical_small_examples():
-    assert is_canonical(Graph(3, 4))
-    assert not is_canonical(Graph(3, 1))
-    assert not is_canonical(Graph(3, 2))
+    # with a target, a non-canonical graph stops early with |Aut| = 0
+    assert canonical_search(3, adjacency_masks(Graph(3, 4)), 4) == (4, 2)
+    assert canonical_search(3, adjacency_masks(Graph(3, 1)), 1) == (4, 0)
+    assert canonical_search(3, adjacency_masks(Graph(3, 2)), 2) == (4, 0)
     for n in range(2, 8):
-        assert is_canonical(complete_graph(n))
-        assert is_canonical(Graph(n, 0))
+        for g in (complement(Graph(n, 0)), Graph(n, 0)):
+            assert canonical_search(n, adjacency_masks(g), g.code) == (g.code, factorial(n))
 
 
 def test_is_canonical_matches_exhaustive_search():
@@ -67,22 +59,23 @@ def test_is_canonical_matches_exhaustive_search():
         for code in range(1 << pair_count(n)):
             g = Graph(n, code)
             best, aut = brute_force_search(g)
-            assert canonical_search(n, adjacency_masks(g)) == (best, aut)
-            assert is_canonical(g) == (best == code)
+            masks = adjacency_masks(g)
+            assert canonical_search(n, masks) == (best, aut)
+            assert (canonical_search(n, masks, code)[0] == code) == (best == code)
 
 
 def test_eleven_canonical_graphs_for_n4():
-    canon = [c for c in range(64) if is_canonical(Graph(4, c))]
+    canon = [c for c in range(64) if canonical_search(4, adjacency_masks(Graph(4, c)), c)[0] == c]
     assert len(canon) == 11
 
 
 def test_canonicalize_examples_and_idempotence():
-    assert canonicalize(Graph(3, 1)).code == 4
+    assert canonical_search(3, adjacency_masks(Graph(3, 1))) == (4, 2)
     for n in (4, 5):
         for code in range(1 << pair_count(n)):
-            g = canonicalize(Graph(n, code))
-            assert g.code == brute_force_search(Graph(n, code))[0]
-            assert canonicalize(g) == g
+            best, aut = canonical_search(n, adjacency_masks(Graph(n, code)))
+            assert best == brute_force_search(Graph(n, code))[0]
+            assert canonical_search(n, adjacency_masks(Graph(n, best)), best) == (best, aut)
 
 
 def test_canonicalize_is_isomorphism_invariant():
@@ -93,7 +86,8 @@ def test_canonicalize_is_isomorphism_invariant():
         g = Graph(n, rng.getrandbits(pair_count(n)))
         perm = list(range(1, n + 1))
         rng.shuffle(perm)
-        assert canonicalize(apply_permutation(g, perm)) == canonicalize(g)
+        assert canonical_search(n, adjacency_masks(apply_permutation(g, perm))) == \
+            canonical_search(n, adjacency_masks(g))
 
 
 def test_generate_all_totals():
@@ -116,8 +110,8 @@ def test_generate_all_n7_matches_networkx_atlas():
     nx = pytest.importorskip("networkx")
     atlas = [h for h in nx.graph_atlas_g() if h.number_of_nodes() == 7]
     assert len(atlas) == 1044
-    theirs = sorted(canonicalize(encode((sorted((u + 1, v + 1)) for u, v in h.edges()), 7)).code
-                    for h in atlas)
+    theirs = sorted(canonical_search(7, adjacency_masks(encode(
+        (sorted((u + 1, v + 1)) for u, v in h.edges()), 7)))[0] for h in atlas)
     ours = sorted(g.code for layer in generate_all(7) for g in layer.graphs)
     assert theirs == ours
 
@@ -145,7 +139,7 @@ def test_orderly_unique_parent_property():
         for e in range(pair_count(n) // 2):
             child_multiset = Counter(
                 c.code for p in layers[e].graphs for c in augment_children(p)
-                if is_canonical(c))
+                if canonical_search(n, adjacency_masks(c), c.code)[0] == c.code)
             assert set(child_multiset) == {g.code for g in layers[e + 1].graphs}
             assert all(v == 1 for v in child_multiset.values())
 
@@ -155,15 +149,17 @@ def test_complementation_consistency():
         layers = list(generate_all(n))
         m = pair_count(n)
         for e in range(m + 1):
-            mirrored = sorted(canonicalize(complement(g)).code for g in layers[m - e].graphs)
+            mirrored = sorted(canonical_search(n, adjacency_masks(complement(g)))[0]
+                              for g in layers[m - e].graphs)
             assert mirrored == sorted(g.code for g in layers[e].graphs)
 
 
 def test_complete_graph_full_symmetry():
     for n in range(1, 7):
-        assert automorphism_group_size(complete_graph(n)) == factorial(n)
+        kn = complement(Graph(n, 0))
+        assert canonical_search(n, adjacency_masks(kn)) == (kn.code, factorial(n))
         *_, top = generate_all(n)
-        assert top.graphs == [complete_graph(n)]
+        assert top.graphs == [kn]
         assert top.labellings == [1]
 
 
@@ -173,14 +169,13 @@ def test_symmetric_graphs_at_twelve_vertices():
     n = 12
     matching = encode({(v, v + 1) for v in range(1, n, 2)}, n)
     cycle = encode({(v, v + 1) for v in range(1, n)} | {(1, n)}, n)
-    assert automorphism_group_size(complete_graph(n)) == factorial(n)
-    assert automorphism_group_size(Graph(n, 0)) == factorial(n)
-    assert automorphism_group_size(matching) == 2 ** 6 * factorial(6)
-    assert automorphism_group_size(cycle) == 2 * n
+    for g, aut in [(complement(Graph(n, 0)), factorial(n)), (Graph(n, 0), factorial(n)),
+                   (matching, 2 ** 6 * factorial(6)), (cycle, 2 * n)]:
+        assert canonical_search(n, adjacency_masks(g))[1] == aut
 
 
 def test_path_swaps_leaves():
-    assert automorphism_group_size(Graph(3, 6)) == 2
+    assert canonical_search(3, adjacency_masks(Graph(3, 6))) == (6, 2)
     layer = list(generate_all(3))[2]
     assert layer.graphs == [Graph(3, 6)]
     assert layer.labellings == [3]
@@ -188,15 +183,8 @@ def test_path_swaps_leaves():
 
 def test_edge_plus_isolated_pair():
     g = encode({(3, 4)}, 4)
-    assert brute_force_search(g) == (g.code, 4)  # over all 24 permutations
-    assert automorphism_group_size(g) == 4
-
-
-def test_matches_brute_force_on_canonical_graphs():
-    for n in (3, 4, 5):
-        for layer in generate_all(n):
-            for g in layer.graphs:
-                assert (g.code, automorphism_group_size(g)) == brute_force_search(g)
+    # brute force runs over all 24 permutations
+    assert canonical_search(4, adjacency_masks(g)) == brute_force_search(g) == (g.code, 4)
 
 
 def test_group_order_divides_factorial():
@@ -205,7 +193,7 @@ def test_group_order_divides_factorial():
     for _ in range(150):
         n = rng.randint(2, 6)
         g = Graph(n, rng.getrandbits(pair_count(n)))
-        assert factorial(n) % automorphism_group_size(g) == 0
+        assert factorial(n) % canonical_search(n, adjacency_masks(g))[1] == 0
 
 
 def test_layer_labelling_sums_count_all_labeled_graphs():
@@ -213,7 +201,7 @@ def test_layer_labelling_sums_count_all_labeled_graphs():
         m = pair_count(n)
         for layer in generate_all(n):
             assert sum(layer.labellings) == comb(m, layer.edge_count)
-            assert layer.labellings == [factorial(n) // automorphism_group_size(g)
+            assert layer.labellings == [factorial(n) // canonical_search(n, adjacency_masks(g))[1]
                                         for g in layer.graphs]
 
 
@@ -221,8 +209,8 @@ def test_labellings_equal_for_complement():
     for n in (4, 5, 6):
         for layer in generate_all(n):
             for g in layer.graphs:
-                assert automorphism_group_size(g) == \
-                    automorphism_group_size(canonicalize(complement(g)))
+                assert canonical_search(n, adjacency_masks(g))[1] == \
+                    canonical_search(n, adjacency_masks(complement(g)))[1]
 
 
 def test_generate_all_rejects_non_divisor(monkeypatch):

@@ -13,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mecensus.census import census_skeletons, iter_skeletons, merge
-from mecensus.graphs import Graph, apply_permutation, pair_count
+from mecensus.graphs import Graph, adjacency_masks, pair_count
 from mecensus.markov import classify_skeleton, find_v_configurations
-from mecensus.oracles import brute_force_search
-from mecensus.orderly import automorphism_group_size, canonicalize, is_canonical
+from mecensus.oracles import apply_permutation, brute_force_search
+from mecensus.orderly import canonical_search
 from test_markov import streamed_classes
 
 PROPERTY = settings(deadline=None, derandomize=True, database=None)
@@ -51,16 +51,17 @@ def relabelled_coin_flips(draw, min_n, max_n):
 @given(relabelled(max_n=10))
 def test_canonicalize_ignores_relabelling(case):
     g, perm = case
-    canon = canonicalize(g)
-    assert canonicalize(apply_permutation(g, perm)) == canon
-    assert canon.code >= g.code and canon.edge_count == g.edge_count
+    best, aut = canonical_search(g.n, adjacency_masks(g))
+    assert canonical_search(g.n, adjacency_masks(apply_permutation(g, perm))) == (best, aut)
+    assert best >= g.code and best.bit_count() == g.edge_count
 
 
 @settings(PROPERTY, max_examples=25)
 @given(graphs(max_n=7))
 def test_group_size_and_code_match_brute_force(g):
-    assert (canonicalize(g).code, automorphism_group_size(g)) == brute_force_search(g)
-    assert factorial(g.n) % automorphism_group_size(g) == 0
+    best, aut = canonical_search(g.n, adjacency_masks(g))
+    assert (best, aut) == brute_force_search(g)
+    assert factorial(g.n) % aut == 0
 
 
 @PROPERTY
@@ -68,8 +69,9 @@ def test_group_size_and_code_match_brute_force(g):
 def test_is_canonical_matches_exhaustive(g, canonical_first):
     # random codes are rarely canonical, so half the draws canonicalize first
     if canonical_first:
-        g = canonicalize(g)
-    assert is_canonical(g) == (brute_force_search(g)[0] == g.code)
+        g = Graph(g.n, canonical_search(g.n, adjacency_masks(g))[0])
+    assert (canonical_search(g.n, adjacency_masks(g), g.code)[0] == g.code) == \
+        (brute_force_search(g)[0] == g.code)
 
 
 @settings(PROPERTY, max_examples=100)
