@@ -135,18 +135,14 @@ def test_criterion_6_structural_identities(reports):
         for layer in generate_all(n):
             got = sum(layer.labellings)
             assert got == comb(m, layer.edge_count), f"n={n} e={layer.edge_count}"
-    for n in range(2, MAX_N + 1):
-        for layer in generate_all(n):
-            for g in layer.graphs:
-                table = classify_skeleton(g)
-                assert sum(table.classes.values()) == table.total_orientations
     for n in range(3, MAX_N + 1):
         assert classify_skeleton(complement(Graph(n, 0))).classes == {0: factorial(n)}
         path = encode({(v, v + 1) for v in range(1, n)}, n)
         canon = Graph(n, canonical_search(n, adjacency_masks(path))[0])
         assert classify_skeleton(canon).classes[0] == n
-    print(f"PASS criterion 6: labelling sums, class-size totals, complete-graph "
-          f"and path class sizes hold (n<={MAX_N})")
+    print(f"PASS criterion 6: labelling sums, complete-graph and path class sizes "
+          f"hold (n<={MAX_N}); per-skeleton orientation totals are checked by "
+          "test_oracles::test_acyclic_orientation_count_matches_kernel_totals_up_to_n7")
 
 
 def test_criterion_7_median_prediction(reports):

@@ -98,10 +98,12 @@ def test_class_sizes_ignore_relabelling(case):
 @PROPERTY
 @given(st.data())
 def test_merge_over_random_partitions_equals_the_whole(data):
+    # any order within a part, any owner for each skeleton
+    skeletons = data.draw(st.permutations(SKELETONS_N5))
     k = data.draw(st.integers(1, 8))
-    owners = data.draw(st.lists(st.integers(0, k - 1), min_size=len(SKELETONS_N5),
-                                max_size=len(SKELETONS_N5)))
-    parts = [census_skeletons(5, [r for r, o in zip(SKELETONS_N5, owners) if o == j])
+    owners = data.draw(st.lists(st.integers(0, k - 1), min_size=len(skeletons),
+                                max_size=len(skeletons)))
+    parts = [census_skeletons(5, [r for r, o in zip(skeletons, owners) if o == j])
              for j in range(k)]
     # merge two parts picked at random until one is left: any order, any grouping
     while len(parts) > 1:
