@@ -1,9 +1,9 @@
 """The paper's analytic companions to a census.
 
 Predictions and statistics read off finished reports: the median edge
-count, the largest v-configuration count, the class/ADG ratio
-extrapolated past the computed n, and the by-edge shape's distance from
-a Gaussian.  Nothing here takes part in computing a census.
+count, the class/ADG ratio extrapolated past the computed n, and the
+by-edge shape's distance from a Gaussian.  Nothing here takes part in
+computing a census.
 """
 
 from __future__ import annotations
@@ -30,13 +30,6 @@ def median_edge_count(report: CensusReport) -> int:
         if 2 * cum >= total:
             return e
     raise ValueError("empty distribution")
-
-
-def max_vconfig_prediction(n: int) -> int:
-    """(n-2)/2 * floor(n/2) * ceil(n/2); attained on balanced complete bipartite graphs."""
-    if n < 1:
-        raise ValueError("need at least one vertex")
-    return (n - 2) * (n // 2) * ((n + 1) // 2) // 2
 
 
 def _s_coefficient(k: int) -> float:

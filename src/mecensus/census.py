@@ -29,26 +29,16 @@ class SkeletonRecord(namedtuple("SkeletonRecord", "graph labellings")):
     __slots__ = ()
 
 
-class CensusReport:
+class CensusReport(namedtuple("CensusReport", "n joint max_vconfigs max_vconfig_codes "
+                                              "max_classes_per_skeleton max_class_codes")):
     """Classes per (edge count, class size), plus the per-skeleton maxima.
 
-    `joint` is the only class table stored; the by-edge lists and the size
-    histogram are views summed from it, so they cannot drift apart.
-    Reports are equal when all their fields are.
+    `joint`, {(edges, size): classes}, is the only class table stored; the
+    by-edge lists and the size histogram are views summed from it, so they
+    cannot drift apart.  Reports are equal when all their fields are.
     """
 
-    def __init__(self, n: int, joint: dict[tuple[int, int], int] | None = None,
-                 max_vconfigs: int = 0, max_vconfig_codes: list[int] | None = None,
-                 max_classes_per_skeleton: int = 0, max_class_codes: list[int] | None = None):
-        self.n = n
-        self.joint = {} if joint is None else joint  # (edges, size) -> classes
-        self.max_vconfigs = max_vconfigs
-        self.max_vconfig_codes = [] if max_vconfig_codes is None else max_vconfig_codes
-        self.max_classes_per_skeleton = max_classes_per_skeleton
-        self.max_class_codes = [] if max_class_codes is None else max_class_codes
-
-    def __eq__(self, other) -> bool:
-        return other.__class__ is self.__class__ and vars(self) == vars(other)
+    __slots__ = ()
 
     @property
     def classes_by_edges(self) -> list[int]:
@@ -104,13 +94,10 @@ def _report(n: int, joint: Counter, vconfigs: list[tuple[int, int]],
     return CensusReport(n, dict(sorted(joint.items())), vmax, vcodes, cmax, ccodes)
 
 
-def iter_skeletons(n: int, edges: tuple[int, int] | None = None) -> Iterable[SkeletonRecord]:
+def iter_skeletons(n: int) -> Iterable[SkeletonRecord]:
     """Every canonical skeleton with its labelling count, layer by layer."""
     for layer in generate_all(n):
-        if edges is not None and not edges[0] <= layer.edge_count <= edges[1]:
-            continue
-        for g, lab in zip(layer.graphs, layer.labellings):
-            yield SkeletonRecord(graph=g, labellings=lab)
+        yield from map(SkeletonRecord, layer.graphs, layer.labellings)
 
 
 def skeleton_rows(records: Iterable[SkeletonRecord]) -> Iterator[tuple[SkeletonRecord, int, Counter]]:
@@ -165,7 +152,7 @@ def census(n: int, skeletons: Iterable[SkeletonRecord] | None = None,
            jobs: int = 1) -> CensusReport:
     """Census for n vertices over `skeletons`, every skeleton by default.
 
-    An edge slice is census(n, iter_skeletons(n, edges)).  Identical output
+    An edge slice is a census of one edge range's records.  Identical output
     for every job count: the skeletons are dealt round-robin into
     min(jobs, usable_cpus(), skeletons) slices; the calling process takes
     the first and a forked child each of the others (os.fork, so a

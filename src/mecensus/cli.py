@@ -11,9 +11,7 @@ import argparse
 import re
 import sys
 from collections import Counter
-from itertools import groupby
 from math import comb
-from operator import attrgetter
 from pathlib import Path
 
 from . import catalog
@@ -30,6 +28,7 @@ from .census import (
     usable_cpus,
 )
 from .graphs import MAX_VERTICES, pair_count
+from .orderly import generate_all
 
 
 def _digits(text: str) -> int:
@@ -60,20 +59,20 @@ def _parse_edges(text: str, m: int) -> tuple[int, int]:
 
 def cmd_generate(args) -> int:
     root = Path(args.graphs)
-    for e, layer in groupby(iter_skeletons(args.n), key=attrgetter("graph.edge_count")):
-        records = list(layer)
-        path = catalog.catalog_path(root, args.n, e)
-        catalog.write_catalog(path, args.n, e, records)
-        print(f"wrote {path} ({len(records)} graphs)")
+    for layer in generate_all(args.n):
+        path = catalog.catalog_path(root, args.n, layer.edge_count)
+        catalog.write_catalog(path, args.n, layer.edge_count,
+                              map(SkeletonRecord, layer.graphs, layer.labellings))
+        print(f"wrote {path} ({len(layer.graphs)} graphs)")
     return 0
 
 
 def _load_or_generate(n: int, graphs_dir: str | None,
                       edges: tuple[int, int] | None) -> list[SkeletonRecord]:
     """Generate, or read every wanted layer of graphs_dir: a missing or bad file raises."""
-    if graphs_dir is None:
-        return list(iter_skeletons(n, edges))
     lo, hi = (0, pair_count(n)) if edges is None else edges
+    if graphs_dir is None:
+        return [r for r in iter_skeletons(n) if lo <= r.graph.edge_count <= hi]
     records = []
     for e in range(lo, hi + 1):
         path = catalog.catalog_path(graphs_dir, n, e)

@@ -24,7 +24,7 @@ instead.
 
 from __future__ import annotations
 
-from functools import cached_property
+from collections import namedtuple
 
 from .graphs import Graph, adjacency_masks
 
@@ -50,19 +50,17 @@ def find_v_configurations(g: Graph) -> list[tuple[int, int, int]]:
     return out
 
 
-class SkeletonClassTable:
+class SkeletonClassTable(namedtuple("SkeletonClassTable", "n counts")):
     """The orientation count of each class code of one skeleton.
 
     `counts` is the walk's own table, {code << n: count} in no particular
     order; a census needs only its values and length.  `classes`, codes
-    ascending, is sorted from it on first read.
+    ascending, is sorted from it on each read.
     """
 
-    def __init__(self, n: int, counts: dict[int, int]):
-        self.n = n
-        self.counts = counts
+    __slots__ = ()
 
-    @cached_property
+    @property
     def classes(self) -> dict[int, int]:
         counts = self.counts
         return {c >> self.n: counts[c] for c in sorted(counts)}

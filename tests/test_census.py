@@ -16,7 +16,6 @@ from mecensus.analysis import (
 )
 from mecensus.catalog import report_lines
 from mecensus.census import (
-    CensusReport,
     SkeletonRecord,
     _slices,
     census,
@@ -51,7 +50,7 @@ def test_census_joint_matrix_consistency():
 
 def test_merge_identity_and_commutativity():
     r = census(4)
-    e = CensusReport(4)
+    e = census_skeletons(4, [])
     assert merge(r, e) == r
     skeletons = list(iter_skeletons(5))
     a = census_skeletons(5, skeletons[:10])
@@ -69,19 +68,9 @@ def test_records_and_reports_round_trip_through_pickle():
     assert back == r and report_lines(back) == report_lines(r)
 
 
-def test_census_reports_own_their_defaults():
-    a, b = CensusReport(4), CensusReport(4)
-    assert a == b and a != CensusReport(5)
-    a.joint[1, 1] = 6
-    a.max_vconfig_codes.append(1)
-    a.max_class_codes.append(1)
-    assert (b.joint, b.max_vconfig_codes, b.max_class_codes) == ({}, [], [])
-    assert a != b
-
-
 def test_merge_rejects_mismatched_n():
     with pytest.raises(ValueError):
-        merge(CensusReport(3), CensusReport(4))
+        merge(census_skeletons(3, []), census_skeletons(4, []))
 
 
 def test_census_never_forks_more_than_usable_cpus(monkeypatch):
@@ -181,7 +170,7 @@ def test_report_n6_bytes_are_pinned():
 
 def test_census_edge_filter_slices_the_full_run():
     full = census(5)
-    sliced = census(5, iter_skeletons(5, (4, 4)))
+    sliced = census(5, [r for r in iter_skeletons(5) if r.graph.edge_count == 4])
     assert sliced.classes_by_edges[4] == full.classes_by_edges[4]
     assert sliced.adgs_by_edges[4] == full.adgs_by_edges[4]
     assert sum(sliced.classes_by_edges) == sliced.classes_by_edges[4]

