@@ -13,13 +13,17 @@ What the least order allows next depends on the placed vertices and on
 F, the unplaced vertices that a larger vertex has passed over since their
 last neighbour was placed, so partial orientations with the same placed
 set, F and partial code are merged and carried forward as one count.
-Three exact shortcuts cut the walk short; classify_skeleton says why
-each is exact.  The table it returns keeps the walk's codes unsorted: a
-census needs only how many classes of each size there are, so the codes
-are sorted only when a caller reads them.  The reference it is tested
-against, oracles.class_codes over the listed orientations, keys each
-finished orientation by testing its parent masks at every v-configuration
-instead.
+Pendant vertices and ears (degree 2, the two neighbours adjacent), as
+many as form an independent set, never enter the walk: they are placed
+before it starts and each of their other positions is folded into the
+finished table, since no such vertex closes a cycle or centres a
+v-configuration.  Three more exact shortcuts cut the walk short;
+classify_skeleton says why each is exact.  The table it returns keeps
+the walk's codes unsorted: a census needs only how many classes of each
+size there are, so the codes are sorted only when a caller reads them.
+The reference it is tested against, oracles.class_codes over the listed
+orientations, keys each finished orientation by testing its parent masks
+at every v-configuration instead.
 """
 
 from __future__ import annotations
@@ -114,12 +118,33 @@ def classify_skeleton(g: Graph) -> SkeletonClassTable:
     - An independent rest is all lone, so its F is empty and its only
       completion places it in ascending order, adding sink[rest]: the
       step goes straight to states[full].
+
+    The walk orients only g - P.  P is an independent set, picked greedily
+    in vertex order, of pendants (degree 1; of an isolated edge only the
+    lower end) and ears (degree 2, the two neighbours adjacent).  P is
+    placed with the isolated vertices before the walk, so every v in P
+    points out to its neighbours.  That is exact because v centres no
+    v-configuration, its neighbours being one or adjacent, and closes no
+    cycle wherever it goes among them: moving v changes only m_u(v), the
+    code bits of the v-configurations centred at a neighbour u that have
+    v as an end, and each is an immorality iff its other end also points
+    in.  So each v in P is folded back into the finished table, one key K
+    at a time:
+    - a pendant at u gives K (v -> u) and K & ~m_u(v) (u -> v);
+    - an ear on x and y gives K (v first), K & ~(m_x(v) | m_y(v)) (v last)
+      and, with v between them, K & ~m_x(v) if x came before y, else
+      K & ~m_y(v).  Whether x came first is a tag bit above the code bits,
+      which imm[y] sets on every subset that holds x; the fold drops it.
+    Members of P are not adjacent, so a v-configuration that two of them
+    end, at a common neighbour, keeps its bit only if neither fold clears
+    it, that is iff both point in.
     """
     n = g.n
     adj = adjacency_masks(g)
+    vcs = find_v_configurations(g)
     # code bits sit above the n F bits of a state key: bit n + i is vconfig i
     sites: list[dict[int, int]] = [{} for _ in range(n)]  # per centre: {a, c} mask -> code bit
-    for i, (a, b, c) in enumerate(find_v_configurations(g), n):
+    for i, (a, b, c) in enumerate(vcs, n):
         sites[b - 1][1 << (a - 1) | 1 << (c - 1)] = 1 << i
     imm = []
     for nb, pairs in zip(adj, sites):
@@ -136,6 +161,33 @@ def classify_skeleton(g: Graph) -> SkeletonClassTable:
             s = (s - nb) & nb
         imm.append(t)
 
+    # P, the pendants and ears to fold: per member v, a tag bit and the keep
+    # masks of its positions, if x came before y and if not (m_u(v) as above)
+    pre = 0
+    folds = []
+    tag = 1 << (n + len(vcs))  # tag bits sit above the code bits
+    for v, nb in enumerate(adj):
+        bv = 1 << v
+        x = nb & -nb
+        y = nb ^ x  # 0 for a pendant
+        if nb & pre or not x or y & (y - 1):
+            continue  # next to P, isolated, or of degree 3 or more
+        if y and not adj[x.bit_length() - 1] & y:
+            continue  # degree 2, the neighbours not adjacent
+        pre |= bv
+        mx = sum(bit for ac, bit in sites[x.bit_length() - 1].items() if ac & bv)
+        if not y:
+            folds.append((0, (), (-1, ~mx)))  # v -> x, x -> v
+            continue
+        my = sum(bit for ac, bit in sites[y.bit_length() - 1].items() if ac & bv)
+        table = imm[y.bit_length() - 1]
+        for s in table:
+            if s & x:
+                table[s] |= tag
+        last = ~(mx | my | tag)  # v first, v last, v between x and y
+        folds.append((tag, (~tag, last, ~(mx | tag)), (~tag, last, ~(my | tag))))
+        tag <<= 1
+
     size = 1 << n
     nbr = [0]  # per vertex set: its neighbourhood union
     sink = [0]  # per vertex set placed last: the v-configurations centred in it
@@ -148,7 +200,7 @@ def classify_skeleton(g: Graph) -> SkeletonClassTable:
     full = size - 1
     # per placed mask: {code << n | F: orientation count}
     states: list[dict[int, int]] = [{} for _ in range(size)]
-    start = lone[full]  # isolated vertices go first and add no code bits
+    start = lone[full] | pre  # isolated vertices and P go first, pointing outward
     states[start][0] = 1
     for placed in range(start, full):
         entries = states[placed]
@@ -179,4 +231,12 @@ def classify_skeleton(g: Graph) -> SkeletonClassTable:
                     c = key & clear | gain
                     out[c] = out.get(c, 0) + k
 
-    return SkeletonClassTable(n, states[full])
+    counts = states[full]
+    for tag, tagged, untagged in folds:
+        out = {}
+        for key, k in counts.items():
+            for keep in tagged if key & tag else untagged:
+                c = key & keep
+                out[c] = out.get(c, 0) + k
+        counts = out
+    return SkeletonClassTable(n, counts)

@@ -41,6 +41,8 @@ from mecensus.reference import (
 MAX_N = 7
 # SHA-256 of the `mecensus census --n 7` report file
 REPORT_N7_SHA256 = "7df17c35eb3632c06e85aca925b9eec333d35ae2d2a6723b5ec72cea01898005"
+# the bytes `census --n 8 --out FILE` writes; a regression pin, not an oracle
+REPORT_N8_SHA256 = "fd1de4cad0f41b19e7988656b93fbe5e238550de6fbc8f594f8caafbdd763b6b"
 
 
 _elapsed: dict[int, float] = {}
@@ -209,4 +211,7 @@ def test_extended_n8_census():
     assert f"{r.size_histogram[1] / r.total_classes:.5f}" == KNOWN_SIZE1_RATIOS[8]
     assert r.adgs_by_edges == robinson_adgs_by_edges(8)
     assert r.size_histogram[1] == essential_dag_count(8) == 58874478231
-    print(f"PASS extended: n=8 census matches the published values ({elapsed:.0f}s)")
+    text = "\n".join(report_lines(r)) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_N8_SHA256
+    print(f"PASS extended: n=8 census matches the published values and its pinned "
+          f"report bytes ({elapsed:.0f}s)")

@@ -248,8 +248,12 @@ def test_extended_n8_component_products_and_orientation_counts():
 def test_stranded_vertices_and_two_vertex_tails_match_streaming_reference():
     # a step strands a vertex whose neighbours are all placed while an edge
     # is still left, which caps the next vertex, and many walks reach a
-    # state whose rest is a single edge, stepped through like any other;
-    # 8-12 vertices
+    # state whose rest is a single edge, stepped through like any other.
+    # Pendants and ears are placed before the walk and folded back in: one
+    # end of each isolated edge, many pendants at one centre, several ears
+    # (so several tag bits) on one edge, ears that share a vertex or whose
+    # neighbour also has pendants, and a pendant one step off a triangle;
+    # 5-12 vertices
     matching = encode({(2 * i - 1, 2 * i) for i in range(1, 7)}, 12)
     cases = [
         star_graph(9),  # K_{1,9}
@@ -258,6 +262,13 @@ def test_stranded_vertices_and_two_vertex_tails_match_streaming_reference():
         matching,
         encode({(1, 2), (2, 3), (4, 5), (5, 6), (7, 8), (8, 9)}, 9),  # three P3s
         encode({(1, 2), (2, 3), (1, 4), (4, 5), (1, 6), (6, 7), (1, 8), (8, 9)}, 9),  # spider
+        encode({(1, 2)} | {(u, v) for v in range(3, 8) for u in (1, 2)}, 7),  # book: ears 3..7
+        encode({(1, v) for v in range(2, 10)} | {(v, v + 1) for v in range(2, 9)},
+               9),  # triangle fan
+        encode({(1, 2), (1, 3), (2, 3), (1, 4), (1, 5), (4, 5), (1, 6), (1, 7), (6, 7)},
+               7),  # windmill: one ear per triangle
+        encode({(1, 2), (1, 3), (2, 3), (2, 4), (2, 5), (3, 6)}, 6),  # ear, pendants on x, y
+        encode({(1, 2), (1, 3), (2, 3), (3, 4), (4, 5)}, 5),  # two-edge path off a triangle
     ]
     for g in cases:
         table = classify_skeleton(g)
