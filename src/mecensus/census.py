@@ -103,8 +103,9 @@ def iter_skeletons(n: int) -> Iterable[SkeletonRecord]:
 def skeleton_rows(records: Iterable[SkeletonRecord]) -> Iterator[tuple[SkeletonRecord, int, Counter]]:
     """(record, v-configurations, Counter{class size: classes}) per skeleton, lazily, in order."""
     for rec in records:
-        counts = classify_skeleton(rec.graph).counts  # unsorted: only the class sizes count here
-        yield rec, len(find_v_configurations(rec.graph)), Counter(counts.values())
+        vcs = find_v_configurations(rec.graph)  # one listing feeds the count and the codes
+        counts = classify_skeleton(rec.graph, vcs).counts  # unsorted: only the sizes count here
+        yield rec, len(vcs), Counter(counts.values())
 
 
 def census_rows(n: int, rows: Iterable[tuple[SkeletonRecord, int, Counter]]) -> CensusReport:

@@ -118,27 +118,33 @@ def _verify_checks(n: int):
     Each check is one row (name, got, want), or (name, got, want, key) for
     tables, for _compare.  Each skeleton is classified once: census_rows folds
     skeleton_rows as they stream past, and tallied keeps each skeleton's
-    orientation total, sum(size * count), by its code.
+    orientation total, sum(size * count), and v-configuration count by its
+    code.  The printed by-edge and by-size lines are parsed back into tables.
     """
     from . import oracles, reference  # verify-only; generate and census start without them
     records = list(iter_skeletons(n))
-    orientations = {}
+    orientations, vconfigs = {}, {}
 
     def tallied(rows):
-        for row in rows:
-            orientations[row[0].graph.code] = sum(size * cnt for size, cnt in row[2].items())
-            yield row
+        for rec, nv, sizes in rows:
+            orientations[rec.graph.code] = sum(size * cnt for size, cnt in sizes.items())
+            vconfigs[rec.graph.code] = nv
+            yield rec, nv, sizes
 
     report = census_rows(n, tallied(skeleton_rows(records)))
     # the report as census --out writes it: each printed field against its expected string
     printed = dict(line.split(" = ", 1) for line in catalog.report_lines(report))
+    by_index = {field: dict(enumerate(map(int, printed[field].split(","))))
+                for field in ("classes_by_edges", "adgs_by_edges")}
     m = pair_count(n)
     labelled = Counter()
     for rec in records:
         labelled[rec.graph.edge_count] += rec.labellings
+    by_degrees = {rec.graph.code: oracles.vconfig_count(rec.graph) for rec in records}
+    top = max(by_degrees.values())
 
     rows = [
-        ("adgs_by_edges_vs_recurrence", dict(enumerate(report.adgs_by_edges)),
+        ("adgs_by_edges_vs_recurrence", by_index["adgs_by_edges"],
          dict(enumerate(robinson_adgs_by_edges(n))), "e"),
         *[(name, printed[field], str(want)) for name, field, want in (
             ("adg_total_vs_recurrence", "total_adgs", robinson_adg_count(n)),
@@ -154,13 +160,24 @@ def _verify_checks(n: int):
         ("orientation_count_vs_source_sets", orientations,
          {rec.graph.code: oracles.acyclic_orientation_count(rec.graph) for rec in records},
          "code"),
+        ("vconfig_count_vs_degrees", vconfigs, by_degrees, "code"),
+        ("max_vconfig_codes_vs_degrees", printed["max_vconfig_codes"],
+         ",".join(f"{code:x}" for code, k in sorted(by_degrees.items()) if k == top)),
     ]
     if n <= 6:
         rows.append(("canonical_codes_vs_brute_force", Counter(rec.graph.code for rec in records),
                      Counter(oracles.brute_force_unlabeled(n)), "code"))
     if n <= 5:
-        rows.append(("full_distribution_vs_brute_force", report.joint,
-                     oracles.brute_force_census(n), "(e, size)"))
+        # the by-edge and by-size margins summed here, not by the report's views
+        joint = oracles.brute_force_census(n)
+        by_edges, by_size = Counter(), Counter()
+        for (e, size), cnt in joint.items():
+            by_edges[e] += cnt
+            by_size[size] += cnt
+        histogram = dict(map(int, item.split(":")) for item in printed["size_histogram"].split(","))
+        rows += [("full_distribution_vs_brute_force", report.joint, joint, "(e, size)"),
+                 ("classes_by_edges_vs_brute_force", by_index["classes_by_edges"], by_edges, "e"),
+                 ("size_histogram_vs_brute_force", histogram, by_size, "size")]
     for name, got, want, *key in rows:
         yield (name, *_compare(got, want, *key))
 

@@ -3,12 +3,14 @@
 Two acyclic digraphs on the same skeleton are Markov equivalent iff they
 induce the same immoralities, so the set of immoralities present, written
 as a bitset over the skeleton's ordered v-configuration list, is a unique
-class key.  Classifying a skeleton means tallying its acyclic orientations
-per key.  An acyclic orientation is a vertex order up to swapping
-neighbours in it that are not adjacent in the skeleton, and
-classify_skeleton builds only the lexicographically least order of each,
-its lexicographic normal form, one vertex per step: acyclicity holds by
-construction and a vertex's immoralities are read off when it is placed.
+class key.  find_v_configurations makes that list, once per skeleton,
+and classify_skeleton takes it from the caller.  Classifying a skeleton
+means tallying its acyclic orientations per key.  An acyclic orientation
+is a vertex order up to swapping neighbours in it that are not adjacent
+in the skeleton, and classify_skeleton builds only the lexicographically
+least order of each, its lexicographic normal form, one vertex per step:
+acyclicity holds by construction and a vertex's immoralities are read
+off when it is placed.
 What the least order allows next depends on the placed vertices and on
 F, the unplaced vertices that a larger vertex has passed over since their
 last neighbour was placed, so partial orientations with the same placed
@@ -74,8 +76,13 @@ class SkeletonClassTable(namedtuple("SkeletonClassTable", "n counts")):
         return sum(self.counts.values())
 
 
-def classify_skeleton(g: Graph) -> SkeletonClassTable:
+def classify_skeleton(g: Graph, vcs: list[tuple[int, int, int]]) -> SkeletonClassTable:
     """Group the acyclic orientations of g by class code.
+
+    vcs is every v-configuration of g, each once, as find_v_configurations
+    lists them.  Bit i of a class code stands for vcs[i]: the codes index
+    the listing the caller passes, and a census passes the one listing it
+    also counts.
 
     An acyclic orientation is the set of vertex orders in which every edge
     points from its earlier end to its later one; any two of them differ
@@ -141,7 +148,6 @@ def classify_skeleton(g: Graph) -> SkeletonClassTable:
     """
     n = g.n
     adj = adjacency_masks(g)
-    vcs = find_v_configurations(g)
     # code bits sit above the n F bits of a state key: bit n + i is vconfig i
     sites: list[dict[int, int]] = [{} for _ in range(n)]  # per centre: {a, c} mask -> code bit
     for i, (a, b, c) in enumerate(vcs, n):

@@ -8,8 +8,9 @@ relabelling moves a graph's edges one pair at a time, acyclic
 orientations are listed one edge direction at a time as per-vertex parent
 masks, keyed by the v-configurations whose two parents are both set and
 joined into classes by covered-arc reversal, and acyclic orientation
-counts come from inclusion-exclusion over source sets.  Disagreement with
-the pipeline fails the build.
+counts come from inclusion-exclusion over source sets, and
+v-configuration counts from degrees and triangles.  Disagreement with the
+pipeline fails the build.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from functools import cache
+from math import comb
 from typing import Sequence
 
-from .graphs import Graph, iter_pairs, pair_count, pair_index
+from .graphs import Graph, adjacency_masks, iter_pairs, pair_count, pair_index
 
 
 def brute_force_census(n: int) -> Counter:
@@ -257,3 +259,19 @@ def acyclic_orientation_count(g: Graph) -> int:
         indep.append(sets)
         a.append(sum(a[u ^ s] if s.bit_count() & 1 else -a[u ^ s] for s in sets[1:]))
     return a[-1]
+
+
+def vconfig_count(g: Graph) -> int:
+    """V-configurations of g, from degrees alone: sum of C(deg v, 2) - 3 * triangles.
+
+    Each pair of neighbours of a vertex is a v-configuration centred there
+    unless the two are adjacent, and each triangle holds three adjacent
+    pairs, one per corner.  Each ordered pair of adjacent vertices sees
+    the third corner of each triangle on that edge once, so summing common
+    neighbours over them counts every triangle six times.
+    """
+    adj = adjacency_masks(g)
+    wedges = sum(comb(nb.bit_count(), 2) for nb in adj)
+    six_triangles = sum((nb & adj[v]).bit_count()
+                        for nb in adj for v in range(g.n) if nb >> v & 1)
+    return wedges - six_triangles // 2

@@ -27,7 +27,7 @@ from mecensus.census import (
     robinson_adgs_by_edges,
 )
 from mecensus.graphs import Graph, adjacency_masks, complement, encode, pair_count
-from mecensus.markov import classify_skeleton
+from mecensus.markov import classify_skeleton, find_v_configurations
 from mecensus.oracles import brute_force_census
 from mecensus.orderly import canonical_search, generate_all
 from mecensus.reference import (
@@ -138,10 +138,12 @@ def test_criterion_6_structural_identities(reports):
             got = sum(layer.labellings)
             assert got == comb(m, layer.edge_count), f"n={n} e={layer.edge_count}"
     for n in range(3, MAX_N + 1):
-        assert classify_skeleton(complement(Graph(n, 0))).classes == {0: factorial(n)}
+        complete = complement(Graph(n, 0))
+        table = classify_skeleton(complete, find_v_configurations(complete))
+        assert table.classes == {0: factorial(n)}
         path = encode({(v, v + 1) for v in range(1, n)}, n)
         canon = Graph(n, canonical_search(n, adjacency_masks(path))[0])
-        assert classify_skeleton(canon).classes[0] == n
+        assert classify_skeleton(canon, find_v_configurations(canon)).classes[0] == n
     print(f"PASS criterion 6: labelling sums, complete-graph and path class sizes "
           f"hold (n<={MAX_N}); per-skeleton orientation totals are checked by "
           "test_oracles::test_acyclic_orientation_count_matches_kernel_totals_up_to_n7")

@@ -26,7 +26,7 @@ from mecensus.census import (
     robinson_adgs_by_edges,
     usable_cpus,
 )
-from mecensus.markov import classify_skeleton
+from mecensus.markov import classify_skeleton, find_v_configurations
 
 # SHA-256 of the `mecensus census --n 6` report file
 REPORT_N6_SHA256 = "e40a7a56880bccf875b8046cf09695e9fa075a1b4ad500603a278ccb6e01bcbd"
@@ -155,7 +155,8 @@ def test_slices_balance_orientations_at_n6():
     # skeletons arrive layer by layer; contiguous halves put 83% on one worker
     skeletons = list(iter_skeletons(6))
     assert len(skeletons) == 156
-    cost = {r.graph.code: classify_skeleton(r.graph).total_orientations for r in skeletons}
+    cost = {g.code: classify_skeleton(g, find_v_configurations(g)).total_orientations
+            for g in (r.graph for r in skeletons)}
     total = sum(cost.values())
     for jobs in (2, 3):
         largest = max(sum(cost[r.graph.code] for r in s) for s in _slices(skeletons, jobs))

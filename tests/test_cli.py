@@ -1,5 +1,8 @@
 import ast
+import contextlib
+import functools
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -405,7 +408,8 @@ def test_verify_passes_small_n(capsys):
         assert "FAIL" not in out
 
 
-def test_verify_catches_injected_labelling_fault(capsys, monkeypatch):
+def _skew_labellings(monkeypatch):
+    # every 2-edge skeleton counts one labelled copy too many
     real = census.generate_all
 
     def skewed(n):
@@ -415,83 +419,155 @@ def test_verify_catches_injected_labelling_fault(capsys, monkeypatch):
             yield layer
 
     monkeypatch.setattr(census, "generate_all", skewed)
-    code, out, _ = run(capsys, "verify", "--n", "4")
-    assert code == 1
-    assert ("FAIL labelled_graphs_per_layer: first mismatch at e=2: expected 15, got 17"
-            in out.splitlines())
 
 
-def test_verify_catches_an_adg_moved_between_layers(capsys, monkeypatch):
-    real = cli.census_rows
+def _move_classes(*steps):
+    """A fault that adds each step to its (edges, size) cell of the folded joint table."""
+    def install(monkeypatch):
+        real = cli.census_rows
 
-    def skewed(n, rows):
-        # the empty graph's one class moves to e=1: every total stays
-        report = real(n, rows)
-        report.joint[0, 1] -= 1
-        report.joint[1, 1] = report.joint.get((1, 1), 0) + 1
-        return report
+        def skewed(n, rows):
+            report = real(n, rows)
+            for cell, step in steps:
+                report.joint[cell] = report.joint.get(cell, 0) + step
+            return report
 
-    monkeypatch.setattr(cli, "census_rows", skewed)
-    code, out, _ = run(capsys, "verify", "--n", "4")
-    assert code == 1
-    lines = out.splitlines()
-    assert "ok   adg_total_vs_recurrence" in lines
-    assert "ok   class_total_vs_published" in lines
-    assert ("FAIL adgs_by_edges_vs_recurrence: first mismatch at e=0: expected 1, got 0"
-            in lines)
+        monkeypatch.setattr(cli, "census_rows", skewed)
+    return install
 
 
-def test_verify_catches_a_class_moved_from_size_1_to_size_2(capsys, monkeypatch):
-    real = cli.census_rows
+def _misprint(field, edit):
+    """A fault that prints edit(value) on the report line of field; every count stays right."""
+    def install(monkeypatch):
+        real = catalog.report_lines
 
-    def skewed(n, rows):
-        # the empty graph's one class grows to size 2: one size-1 class fewer
-        report = real(n, rows)
-        report.joint[0, 1] -= 1
-        report.joint[0, 2] = report.joint.get((0, 2), 0) + 1
-        return report
+        def misprinted(report, edges=None):
+            lines = []
+            for ln in real(report, edges):
+                name, _, value = ln.partition(" = ")
+                lines.append(f"{name} = {edit(value)}" if name == field else ln)
+            return lines
 
-    monkeypatch.setattr(cli, "census_rows", skewed)
-    code, out, _ = run(capsys, "verify", "--n", "4")
-    assert code == 1
-    want = census.essential_dag_count(4)
-    assert (f"FAIL size1_classes_vs_recurrence: expected {want}, got {want - 1}"
-            in out.splitlines())
+        monkeypatch.setattr(catalog, "report_lines", misprinted)
+    return install
 
 
-def test_verify_catches_classes_swapped_between_sizes_within_layers(capsys, monkeypatch):
-    real = cli.census_rows
+def _one_orientation_too_many(monkeypatch):
+    # one class of skeleton 788, the 13th at n=5, gains an orientation
+    real = census.classify_skeleton
 
-    def skewed(n, rows):
-        # classes change size within layers 3 and 4: every total, every layer's
-        # ADGs and classes, and the size histogram stay
-        report = real(n, rows)
-        for cell, step in (((4, 1), -1), ((4, 3), -1), ((4, 2), 2),
-                           ((3, 2), -2), ((3, 1), 1), ((3, 3), 1)):
-            report.joint[cell] = report.joint.get(cell, 0) + step
-        return report
+    def skewed(g, vcs):
+        table = real(g, vcs)
+        if g.code != 788:
+            return table
+        counts = dict(table.counts)
+        counts[next(iter(counts))] += 1
+        return markov.SkeletonClassTable(table.n, counts)
 
-    monkeypatch.setattr(cli, "census_rows", skewed)
-    code, out, _ = run(capsys, "verify", "--n", "4")
-    assert code == 1
-    fails = [ln for ln in out.splitlines() if ln.startswith("FAIL")]
-    assert fails == ["FAIL full_distribution_vs_brute_force: "
-                     "first mismatch at (e, size)=(3, 1): expected 16, got 17"]
+    monkeypatch.setattr(census, "classify_skeleton", skewed)
 
 
-def test_verify_catches_a_misprinted_ratio_line(capsys, monkeypatch):
-    real = catalog.report_lines
+def _vconfig_count_one_short_on_4_edges(monkeypatch):
+    real = cli.skeleton_rows
 
-    def misprinted(report, edges=None):
-        # the n=4 ratio line reads one unit high; every count stays right
-        return [ln.replace("ratio = 0.34070", "ratio = 0.34071")
-                for ln in real(report, edges)]
+    def skewed(records):
+        for rec, nv, sizes in real(records):
+            yield rec, nv - (rec.graph.edge_count == 4), sizes
 
-    monkeypatch.setattr(catalog, "report_lines", misprinted)
-    code, out, _ = run(capsys, "verify", "--n", "4")
-    assert code == 1
-    fails = [ln for ln in out.splitlines() if ln.startswith("FAIL")]
-    assert fails == ["FAIL ratio_vs_published: expected 0.34070, got 0.34071"]
+    monkeypatch.setattr(cli, "skeleton_rows", skewed)
+
+
+def _first_tied_code_only(monkeypatch):
+    real = census._maximum
+
+    def first(pairs):
+        top, codes = real(pairs)
+        return top, codes[:1]
+
+    monkeypatch.setattr(census, "_maximum", first)
+
+
+def _swap_fields(value):
+    return ",".join(":".join(reversed(item.split(":"))) for item in value.split(","))
+
+
+# fault -> (installer, n, {row: detail} of every row that must fail)
+VERIFY_FAULTS = {
+    "labellings_skewed_in_layer_2": (_skew_labellings, 4, {
+        "adgs_by_edges_vs_recurrence": "first mismatch at e=2: expected 60, got 68",
+        "adg_total_vs_recurrence": "expected 543, got 551",
+        "size1_classes_vs_recurrence": "expected 59, got 60",
+        "class_total_vs_published": "expected 185, got 188",
+        "ratio_vs_published": "expected 0.34070, got 0.34120",
+        "size1_ratio_vs_published": "expected 0.31892, got 0.31915",
+        "labelled_graphs_per_layer": "first mismatch at e=2: expected 15, got 17",
+        "full_distribution_vs_brute_force": "first mismatch at (e, size)=(2, 1): expected 12, got 13",
+        "classes_by_edges_vs_brute_force": "first mismatch at e=2: expected 27, got 30",
+        "size_histogram_vs_brute_force": "first mismatch at size=1: expected 59, got 60"}),
+    # the empty graph's one class moves to e=1: every total stays
+    "adg_moved_between_layers": (_move_classes(((0, 1), -1), ((1, 1), 1)), 4, {
+        "adgs_by_edges_vs_recurrence": "first mismatch at e=0: expected 1, got 0",
+        "full_distribution_vs_brute_force": "first mismatch at (e, size)=(0, 1): expected 1, got 0",
+        "classes_by_edges_vs_brute_force": "first mismatch at e=0: expected 1, got 0"}),
+    # the empty graph's one class grows to size 2: one size-1 class fewer
+    "class_moved_from_size_1_to_2": (_move_classes(((0, 1), -1), ((0, 2), 1)), 4, {
+        "adgs_by_edges_vs_recurrence": "first mismatch at e=0: expected 1, got 2",
+        "adg_total_vs_recurrence": "expected 543, got 544",
+        "size1_classes_vs_recurrence": "expected 59, got 58",
+        "ratio_vs_published": "expected 0.34070, got 0.34007",
+        "size1_ratio_vs_published": "expected 0.31892, got 0.31351",
+        "full_distribution_vs_brute_force": "first mismatch at (e, size)=(0, 1): expected 1, got 0",
+        "size_histogram_vs_brute_force": "first mismatch at size=1: expected 59, got 58"}),
+    # classes change size within layers 3 and 4: every total, every layer's
+    # ADGs and classes, and the size histogram stay
+    "classes_swapped_between_sizes_within_layers": (_move_classes(
+        ((4, 1), -1), ((4, 3), -1), ((4, 2), 2), ((3, 2), -2), ((3, 1), 1), ((3, 3), 1)), 4, {
+        "full_distribution_vs_brute_force": "first mismatch at (e, size)=(3, 1): expected 16, got 17"}),
+    "ratio_line_one_unit_high": (_misprint("ratio", lambda v: v.replace("0.34070", "0.34071")), 4, {
+        "ratio_vs_published": "expected 0.34070, got 0.34071"}),
+    "skeleton_with_one_orientation_too_many": (_one_orientation_too_many, 5, {
+        "adgs_by_edges_vs_recurrence": "first mismatch at e=4: expected 3050, got 3065",
+        "adg_total_vs_recurrence": "expected 29281, got 29296",
+        "size1_classes_vs_recurrence": "expected 2616, got 2601",
+        "ratio_vs_published": "expected 0.29992, got 0.29977",
+        "size1_ratio_vs_published": "expected 0.29788, got 0.29617",
+        # skeleton 788 has 14 acyclic orientations
+        "orientation_count_vs_source_sets": "first mismatch at code=788: expected 14, got 15",
+        "full_distribution_vs_brute_force":
+            "first mismatch at (e, size)=(4, 1): expected 385, got 370",
+        "size_histogram_vs_brute_force": "first mismatch at size=1: expected 2616, got 2601"}),
+    "classes_by_edges_line_reversed": (
+        _misprint("classes_by_edges", lambda v: ",".join(reversed(v.split(",")))), 4, {
+            "classes_by_edges_vs_brute_force": "first mismatch at e=1: expected 6, got 24"}),
+    "size_histogram_line_as_count_size": (_misprint("size_histogram", _swap_fields), 4, {
+        "size_histogram_vs_brute_force": "first mismatch at size=1: expected 59, got 24"}),
+    "adgs_by_edges_line_shifted_by_one": (
+        _misprint("adgs_by_edges", lambda v: "0," + v.rpartition(",")[0]), 4, {
+            "adgs_by_edges_vs_recurrence": "first mismatch at e=0: expected 1, got 0"}),
+    "vconfig_count_one_short_on_4_edges": (_vconfig_count_one_short_on_4_edges, 5, {
+        "vconfig_count_vs_degrees": "first mismatch at code=786: expected 3, got 2"}),
+    # both n=2 skeletons have no v-configuration, so both codes are maxima
+    "max_codes_keep_the_first_tie_only": (_first_tied_code_only, 2, {
+        "max_vconfig_codes_vs_degrees": "expected 0,1, got 0"}),
+}
+
+
+@functools.cache
+def _clean_verify(n: int) -> list[str]:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(["verify", "--n", str(n)]) == 0
+    return out.getvalue().splitlines()
+
+
+@pytest.mark.parametrize("fault", VERIFY_FAULTS)
+def test_verify_catches_injected_faults(fault, capsys, monkeypatch):
+    # the rows named fail with their detail; every other row prints ok, as without the fault
+    install, n, fails = VERIFY_FAULTS[fault]
+    clean = _clean_verify(n)
+    install(monkeypatch)
+    code, out, _ = run(capsys, "verify", "--n", str(n))
+    want = [f"FAIL {ln[5:]}: {fails[ln[5:]]}" if ln[5:] in fails else ln for ln in clean[:-1]]
+    assert (code, out.splitlines()) == (1, [*want, f"{len(fails)} check(s) failed for n={n}"])
 
 
 def test_verify_report_and_totals_match_the_census_and_the_kernel():
@@ -515,50 +591,42 @@ def test_skeleton_rows_are_lazy():
 
 
 def test_verify_classifies_each_skeleton_once(capsys, monkeypatch):
-    # one verify --n 5 run both classifies every skeleton once and merges no reports
-    real_kernel, real_merge = markov.classify_skeleton, census.merge
-    calls, merges = [], []
+    # one verify --n 5 run, and one single-process census, each lists the
+    # v-configurations of every skeleton once, classifies it once and merges
+    # no reports
+    real_list, real_kernel, real_merge = (markov.find_v_configurations,
+                                          markov.classify_skeleton, census.merge)
+    listed, calls, merges = [], [], []
 
-    def counted(g):
+    def counted_list(g):
+        listed.append(g.code)
+        return real_list(g)
+
+    def counted(g, vcs):
         calls.append(g.code)
-        return real_kernel(g)
+        return real_kernel(g, vcs)
 
     def counted_merge(a, b):
         merges.append((a.n, b.n))
         return real_merge(a, b)
 
-    # every mecensus module that bound the kernel or merge under its own name
+    # every mecensus module that bound one of them under its own name
     for mod in list(sys.modules.values()):
         if getattr(mod, "__name__", "").startswith("mecensus"):
-            if getattr(mod, "classify_skeleton", None) is real_kernel:
-                monkeypatch.setattr(mod, "classify_skeleton", counted)
-            if getattr(mod, "merge", None) is real_merge:
-                monkeypatch.setattr(mod, "merge", counted_merge)
-    code, out, _ = run(capsys, "verify", "--n", "5")
-    assert code == 0, out
-    assert len(calls) == reference.KNOWN_UNLABELED_GRAPHS[5] == 34
-    assert sorted(calls) == sorted(r.graph.code for r in census.iter_skeletons(5))
-    assert merges == []
-
-
-def test_verify_names_a_skeleton_with_one_orientation_too_many(capsys, monkeypatch):
-    real = census.classify_skeleton
-    target = list(census.iter_skeletons(5))[12].graph
-
-    def skewed(g):
-        table = real(g)
-        if g.code != target.code:
-            return table
-        counts = dict(table.counts)
-        counts[next(iter(counts))] += 1
-        return markov.SkeletonClassTable(table.n, counts)
-
-    monkeypatch.setattr(census, "classify_skeleton", skewed)
-    code, out, _ = run(capsys, "verify", "--n", "5")
-    assert code == 1
-    want = oracles.acyclic_orientation_count(target)
-    assert (f"FAIL orientation_count_vs_source_sets: first mismatch at code={target.code}: "
-            f"expected {want}, got {want + 1}") in out.splitlines()
+            for name, real, fake in (("find_v_configurations", real_list, counted_list),
+                                     ("classify_skeleton", real_kernel, counted),
+                                     ("merge", real_merge, counted_merge)):
+                if getattr(mod, name, None) is real:
+                    monkeypatch.setattr(mod, name, fake)
+    codes = sorted(r.graph.code for r in census.iter_skeletons(5))
+    assert len(codes) == reference.KNOWN_UNLABELED_GRAPHS[5] == 34
+    for argv in (("verify", "--n", "5"), ("census", "--n", "5", "--jobs", "1")):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, out
+        assert sorted(listed) == sorted(calls) == codes
+        assert merges == []
+        listed.clear()
+        calls.clear()
 
 
 def test_extrapolate_published_inputs(capsys):

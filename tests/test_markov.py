@@ -81,19 +81,22 @@ def test_class_code_zero_on_complete_graph():
 
 
 def test_classify_path3():
-    table = classify_skeleton(Graph(3, 6))
+    g = Graph(3, 6)
+    table = classify_skeleton(g, find_v_configurations(g))
     assert table.total_orientations == 4
     assert sorted(table.classes.values(), reverse=True) == [3, 1]
     assert table.classes[0] == 3  # the no-immorality class
 
 
 def test_classify_triangle_single_class():
-    table = classify_skeleton(complement(Graph(3, 0)))
+    g = complement(Graph(3, 0))
+    table = classify_skeleton(g, find_v_configurations(g))
     assert table.classes == {0: 6}
 
 
 def test_classify_star3():
-    table = classify_skeleton(star_graph(3))
+    g = star_graph(3)
+    table = classify_skeleton(g, find_v_configurations(g))
     assert sorted(table.classes.values(), reverse=True) == [4, 1, 1, 1, 1]
 
 
@@ -106,7 +109,7 @@ def test_classify_matches_direct_immorality_grouping():
                 for parents in enumerate_acyclic_orientations(g):
                     key = immorality_set(g, parents)
                     direct[key] = direct.get(key, 0) + 1
-                table = classify_skeleton(g)
+                table = classify_skeleton(g, find_v_configurations(g))
                 assert sorted(direct.values()) == sorted(table.classes.values())
                 assert len(direct) == len(table.classes)
 
@@ -138,7 +141,7 @@ def test_classify_matches_streaming_reference():
     for n in range(1, 7):  # includes every edgeless graph
         for layer in generate_all(n):
             for g in layer.graphs:
-                table = classify_skeleton(g)
+                table = classify_skeleton(g, find_v_configurations(g))
                 stream = streamed_classes(g)
                 assert table.classes == stream
                 assert list(table.classes) == list(stream)  # codes ascending
@@ -150,7 +153,7 @@ def test_n8_class_tables_sample_is_pinned():
     digest = hashlib.sha256()
     skeletons = [g for layer in generate_all(8) for g in layer.graphs]
     for g in skeletons[::50]:
-        table = classify_skeleton(g)
+        table = classify_skeleton(g, find_v_configurations(g))
         digest.update(repr((g.code, list(table.classes.items()),
                             table.total_orientations)).encode())
     # as the recursive source-layer walk and the source-layer state pass gave
@@ -165,7 +168,8 @@ def cycle_graph(n: int) -> Graph:
 
 def test_edgeless_graphs_have_one_empty_orientation():
     for n in range(1, 13):
-        table = classify_skeleton(Graph(n, 0))
+        g = Graph(n, 0)
+        table = classify_skeleton(g, find_v_configurations(g))
         assert table.classes == {0: 1}
         assert table.total_orientations == 1
 
@@ -182,7 +186,7 @@ def test_disconnected_graphs_match_streaming_reference():
         encode({(1, 2), (1, 3), (1, 4), (6, 7), (7, 8)}, 8),  # star, path, isolated
     ]
     for g in cases:
-        table = classify_skeleton(g)
+        table = classify_skeleton(g, find_v_configurations(g))
         stream = streamed_classes(g)
         assert table.classes == stream
         assert list(table.classes) == list(stream)
@@ -221,13 +225,15 @@ def component_products_hold(n: int) -> int:
             disconnected += 1
             want = Counter({1: 1})
             for part in parts:
-                sizes = Counter(classify_skeleton(part).counts.values())
+                table = classify_skeleton(part, find_v_configurations(part))
+                sizes = Counter(table.counts.values())
                 prod = Counter()
                 for s, a in want.items():
                     for t, b in sizes.items():
                         prod[s * t] += a * b
                 want = prod
-            assert Counter(classify_skeleton(g).counts.values()) == want, g
+            table = classify_skeleton(g, find_v_configurations(g))
+            assert Counter(table.counts.values()) == want, g
     return disconnected
 
 
@@ -242,7 +248,8 @@ def test_extended_n8_component_products_and_orientation_counts():
     assert component_products_hold(8) == 1229
     for layer in generate_all(8):
         for g in layer.graphs:
-            assert acyclic_orientation_count(g) == classify_skeleton(g).total_orientations, g
+            table = classify_skeleton(g, find_v_configurations(g))
+            assert acyclic_orientation_count(g) == table.total_orientations, g
 
 
 def test_stranded_vertices_and_two_vertex_tails_match_streaming_reference():
@@ -271,33 +278,33 @@ def test_stranded_vertices_and_two_vertex_tails_match_streaming_reference():
         encode({(1, 2), (1, 3), (2, 3), (3, 4), (4, 5)}, 5),  # two-edge path off a triangle
     ]
     for g in cases:
-        table = classify_skeleton(g)
+        table = classify_skeleton(g, find_v_configurations(g))
         stream = streamed_classes(g)
         assert table.classes == stream
         assert list(table.classes) == list(stream)
         assert table.total_orientations == sum(stream.values())
-    assert classify_skeleton(matching).classes == {0: 2 ** 6}
+    assert classify_skeleton(matching, find_v_configurations(matching)).classes == {0: 2 ** 6}
 
 
 def test_complete_bipartite_matches_streaming_reference():
     for a, b in ((3, 3), (2, 5)):
         g = complete_bipartite(a, b)
-        table = classify_skeleton(g)
+        table = classify_skeleton(g, find_v_configurations(g))
         assert table.classes == streamed_classes(g)
 
 
 def test_twelve_layer_path_and_cycle():
     # 12 vertices placed one per step, on a path and on a cycle
     for g, total in ((path_graph(12), 2 ** 11), (cycle_graph(12), 2 ** 12 - 2)):
-        table = classify_skeleton(g)
+        table = classify_skeleton(g, find_v_configurations(g))
         assert table.total_orientations == total
         assert table.classes == streamed_classes(g)
 
 
 def test_path_no_immorality_class_has_size_n():
     for n in range(3, 8):
-        path = canonical_search(n, adjacency_masks(path_graph(n)))[0]
-        table = classify_skeleton(Graph(n, path))
+        g = Graph(n, canonical_search(n, adjacency_masks(path_graph(n)))[0])
+        table = classify_skeleton(g, find_v_configurations(g))
         assert table.classes[0] == n
 
 
@@ -315,7 +322,7 @@ def test_wide_code_uses_high_word():
     g = encode(hubs | fans, 11)
     vcs = find_v_configurations(g)
     assert len(vcs) == 72
-    table = classify_skeleton(g)
+    table = classify_skeleton(g, vcs)
     assert table.total_orientations == 2 * 3 ** 9
     assert max(table.classes) >> 64 != 0  # immoralities centered on hub 2
     assert table.classes == streamed_classes(g)

@@ -68,7 +68,8 @@ def test_acyclic_orientation_count_matches_kernel_totals_up_to_n7():
     for n in range(1, 8):
         for rec in iter_skeletons(n):
             g = rec.graph
-            assert acyclic_orientation_count(g) == classify_skeleton(g).total_orientations, g
+            table = classify_skeleton(g, find_v_configurations(g))
+            assert acyclic_orientation_count(g) == table.total_orientations, g
 
 
 def test_covered_reversal_classes_match_the_kernel_up_to_n6():
@@ -76,9 +77,9 @@ def test_covered_reversal_classes_match_the_kernel_up_to_n6():
     for n in range(1, 7):
         for rec in iter_skeletons(n):
             g = rec.graph
-            got = covered_reversal_classes(enumerate_acyclic_orientations(g),
-                                           find_v_configurations(g))
-            assert got == classify_skeleton(g).classes, g
+            vcs = find_v_configurations(g)
+            got = covered_reversal_classes(enumerate_acyclic_orientations(g), vcs)
+            assert got == classify_skeleton(g, vcs).classes, g
 
 
 def test_covered_reversal_classes_reject_split_and_shared_codes():

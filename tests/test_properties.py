@@ -78,7 +78,7 @@ def test_is_canonical_matches_exhaustive(g, canonical_first):
 @given(graphs(max_n=7))
 def test_classify_matches_streaming_on_labelled_graphs(g):
     # random labellings, not the canonical ones the catalogs hold
-    table = classify_skeleton(g)
+    table = classify_skeleton(g, find_v_configurations(g))
     stream = streamed_classes(g)
     assert table.classes == stream
     assert list(table.classes) == list(stream)
@@ -91,8 +91,9 @@ def test_class_sizes_ignore_relabelling(case):
     # the walk's normal form depends on the labels; the class sizes must not,
     # and past n=7 there is no streaming reference to hold them to
     g, perm = case
-    sizes = Counter(classify_skeleton(g).counts.values())
-    assert Counter(classify_skeleton(apply_permutation(g, perm)).counts.values()) == sizes
+    h = apply_permutation(g, perm)
+    sizes = Counter(classify_skeleton(g, find_v_configurations(g)).counts.values())
+    assert Counter(classify_skeleton(h, find_v_configurations(h)).counts.values()) == sizes
 
 
 @PROPERTY
