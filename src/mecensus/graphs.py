@@ -11,7 +11,7 @@ codes of different sizes share the same layout for their common pairs.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Iterable, Iterator
+from typing import Iterator
 
 MAX_VERTICES = 12  # codes stay within a 66-bit budget
 
@@ -60,18 +60,6 @@ class Graph(namedtuple("Graph", "n code")):
             out.append(_PAIRS[low.bit_length() - 1])
             c ^= low
         return out
-
-
-def encode(edges: Iterable[tuple[int, int]], n: int) -> Graph:
-    """Build a graph from vertex pairs; loops and out-of-range pairs rejected."""
-    code = 0
-    for i, j in edges:
-        if i == j:
-            raise ValueError(f"loop at vertex {i}")
-        if not (1 <= i < j <= n):
-            raise ValueError(f"pair ({i}, {j}) not in 1 <= i < j <= {n}")
-        code |= 1 << pair_index(i, j)
-    return Graph(n, code)
 
 
 def complement(g: Graph) -> Graph:

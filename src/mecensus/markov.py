@@ -23,9 +23,9 @@ v-configuration.  Three more exact shortcuts cut the walk short;
 classify_skeleton says why each is exact.  The table it returns keeps
 the walk's codes unsorted: a census needs only how many classes of each
 size there are, so the codes are sorted only when a caller reads them.
-The reference it is tested against, oracles.class_codes over the listed
-orientations, keys each finished orientation by testing its parent masks
-at every v-configuration instead.
+The reference the tests hold it to, class_codes in tests/helpers.py over
+the listed orientations, keys each finished orientation by testing its
+parent masks at every v-configuration instead.
 """
 
 from __future__ import annotations

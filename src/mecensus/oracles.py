@@ -1,16 +1,13 @@
-"""Brute-force references used only for verification.
+"""Brute-force references that mecensus verify runs.
 
 Everything here is deliberately naive and shares nothing with the main
 pipeline beyond the graph coding: digraphs are enumerated pair by pair
 into the census's joint table of classes per (arc count, class size),
-codes and |Aut| come from one table of the n! relabellings, a single
-relabelling moves a graph's edges one pair at a time, acyclic
-orientations are listed one edge direction at a time as per-vertex parent
-masks, keyed by the v-configurations whose two parents are both set and
-joined into classes by covered-arc reversal, and acyclic orientation
-counts come from inclusion-exclusion over source sets, and
-v-configuration counts from degrees and triangles.  Disagreement with the
-pipeline fails the build.
+unlabeled graphs come from orbit marking over one table of the n!
+relabellings, acyclic orientation counts come from inclusion-exclusion
+over source sets, and v-configuration counts from degrees and triangles.
+Disagreement with the pipeline fails verify.  The references that only
+the tests call live in tests/helpers.py.
 """
 
 from __future__ import annotations
@@ -19,7 +16,6 @@ import itertools
 from collections import Counter
 from functools import cache
 from math import comb
-from typing import Sequence
 
 from .graphs import Graph, adjacency_masks, iter_pairs, pair_count, pair_index
 
@@ -85,7 +81,7 @@ def _moves(n: int) -> list[list[int]]:
             for p in itertools.permutations(range(1, n + 1))]
 
 
-def _images(n: int, code: int) -> list[int]:
+def relabellings(n: int, code: int) -> list[int]:
     """The code of every relabelling of (n, code), in _moves order."""
     present = [k for k in range(pair_count(n)) if code >> k & 1]
     return [sum(move[k] for k in present) for move in _moves(n)]
@@ -104,136 +100,10 @@ def brute_force_unlabeled(n: int) -> list[int]:
     out = []
     for code in range(1 << pair_count(n)):
         if code not in marked:
-            images = _images(n, code)
+            images = relabellings(n, code)
             marked.update(images)
             out.append(max(images))
     return sorted(out)
-
-
-def brute_force_search(g: Graph) -> tuple[int, int]:
-    """(largest code, relabellings that keep g's code) over the n! relabellings of g.
-
-    That is orderly.canonical_search(n, adjacency_masks(g)): (maximal code, |Aut|).
-    """
-    images = _images(g.n, g.code)
-    return max(images), images.count(g.code)
-
-
-def apply_permutation(g: Graph, perm: Sequence[int]) -> Graph:
-    """Relabel: vertex v becomes perm[v-1].  perm must be a bijection on 1..n."""
-    if sorted(perm) != list(range(1, g.n + 1)):
-        raise ValueError(f"not a bijection on 1..{g.n}: {perm!r}")
-    code = 0
-    c = g.code
-    for i, j in iter_pairs(g.n):
-        if c & 1:
-            a, b = perm[i - 1], perm[j - 1]
-            if a > b:
-                a, b = b, a
-            code |= 1 << pair_index(a, b)
-        c >>= 1
-    return Graph(g.n, code)
-
-
-def enumerate_acyclic_orientations(g: Graph) -> list[tuple[int, ...]]:
-    """Every acyclic orientation of g exactly once, deterministic order.
-
-    Lists parent masks: entry v-1 has bit u-1 set iff the arc is u->v.
-    Depth-first over the edges from most to least significant, trying
-    low-to-high before high-to-low; a direction u->v is pruned as soon as
-    v already reaches u through the edges directed so far.
-    """
-    edges = g.edges()
-    n = g.n
-    reach = [1 << v for v in range(n)]
-    parents = [0] * n
-    out = []
-
-    def rec(k: int) -> None:
-        if k < 0:
-            out.append(tuple(parents))
-            return
-        i, j = edges[k]
-        for u, v in ((i - 1, j - 1), (j - 1, i - 1)):
-            if reach[v] >> u & 1:
-                continue
-            mv = reach[v]
-            undo = []  # (w, reach[w] before u->v) for every entry the arc widens
-            for w in range(n):
-                rw = reach[w]
-                if rw >> u & 1 and rw | mv != rw:
-                    undo.append((w, rw))
-                    reach[w] = rw | mv
-            parents[v] |= 1 << u
-            rec(k - 1)
-            parents[v] ^= 1 << u
-            for w, rw in undo:
-                reach[w] = rw
-
-    rec(len(edges) - 1)
-    return out
-
-
-def class_codes(orientations: list[tuple[int, ...]],
-                vconfigs: list[tuple[int, int, int]]) -> list[int]:
-    """Per parent-mask tuple, bit i set iff vconfigs[i] is oriented as a->b<-c.
-
-    Each v-configuration becomes one (centre, two-parent mask) pair, once
-    per call, and is an immorality iff the centre's parent mask holds both.
-    """
-    sites = [(b - 1, 1 << (a - 1) | 1 << (c - 1), 1 << k)
-             for k, (a, b, c) in enumerate(vconfigs)]
-    out = []
-    for parents in orientations:
-        code = 0
-        for b, pair, bit in sites:
-            if parents[b] & pair == pair:
-                code |= bit
-        out.append(code)
-    return out
-
-
-def covered_reversal_classes(orientations: list[tuple[int, ...]],
-                             vconfigs: list[tuple[int, int, int]]) -> dict[int, int]:
-    """{class code: size} of one skeleton's parent-mask tuples, by covered-arc reversal.
-
-    An arc u->v is covered iff pa(v) = pa(u) | {u}.  Reversing it keeps a
-    DAG in its class, and any two equivalent DAGs are joined by covered
-    reversals (Chickering 1995), so the classes are the components of the
-    orientations under covered reversal, found here by depth-first search.
-    Immoralities only name them: each component takes the class_codes of
-    its members, and a component whose members carry two codes, or a code
-    carried by two components, raises ValueError.
-    """
-    codes = dict(zip(orientations, class_codes(orientations, vconfigs)))
-    seen = set()
-    out = {}
-    for first in orientations:
-        if first in seen:
-            continue
-        code = codes[first]
-        if code in out:
-            raise ValueError(f"two components carry class code {code}")
-        seen.add(first)
-        stack = [first]
-        size = 0
-        while stack:
-            p = stack.pop()
-            size += 1
-            if codes[p] != code:
-                raise ValueError(f"one component carries class codes {code} and {codes[p]}")
-            for v, pv in enumerate(p):
-                for u, pu in enumerate(p):
-                    if pv == pu | 1 << u:  # u->v is covered: reverse it
-                        q = list(p)
-                        q[v] ^= 1 << u
-                        q[u] |= 1 << v
-                        q = tuple(q)
-                        if q not in seen:
-                            seen.add(q)
-                            stack.append(q)
-        out[code] = size
-    return out
 
 
 def acyclic_orientation_count(g: Graph) -> int:

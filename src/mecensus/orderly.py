@@ -10,9 +10,10 @@ edge count come from complementing the mirror layer and re-canonicalizing.
 
 Canonical codes and automorphism group orders come from one search,
 canonical_search, which fixes the code column by column.  Labels go out
-n, n-1, ..., 1; column k holds the pairs (i, k), i < k, and outranks every
+n, n-1, ..., 2; column k holds the pairs (i, k), i < k, and outranks every
 later column, so a maximal labelling maximises column k given the labels
-above it.  The unassigned vertices form an ordered tuple of cells, each
+above it.  Column 1 holds no pair, so label 1 goes to the one vertex left
+and adds nothing to the code or to the count.  The unassigned vertices form an ordered tuple of cells, each
 owning a contiguous label range; every vertex of a cell has the same
 neighbours among the labelled ones.  Label k comes from the top cell.
 Giving it to v pushes v's neighbours to the top of every cell, which fixes
@@ -70,7 +71,7 @@ def canonical_search(n: int, adj: list[int], target: int = -1) -> tuple[int, int
     """
     states = {((1 << n) - 1,): 1}
     code = 0
-    for k in range(n, 0, -1):
+    for k in range(n, 1, -1):
         shift = pair_index(1, k)
         best = -1
         nxt: dict[tuple[int, ...], int] = {}

@@ -11,14 +11,9 @@ from math import comb, factorial
 
 import pytest
 
+from helpers import encode, gaussian_chi2, median_edge_count, median_edges_prediction
 from mecensus import cli
-from mecensus.analysis import (
-    extrapolate_ratio,
-    gaussian_chi2,
-    median_edge_count,
-    median_edges_prediction,
-    ratio_asymptote,
-)
+from mecensus.analysis import extrapolate_ratio, ratio_asymptote
 from mecensus.catalog import report_lines
 from mecensus.census import (
     census,
@@ -26,7 +21,7 @@ from mecensus.census import (
     robinson_adg_count,
     robinson_adgs_by_edges,
 )
-from mecensus.graphs import Graph, adjacency_masks, complement, encode, pair_count
+from mecensus.graphs import Graph, adjacency_masks, complement, pair_count
 from mecensus.markov import classify_skeleton, find_v_configurations
 from mecensus.oracles import brute_force_census
 from mecensus.orderly import canonical_search, generate_all

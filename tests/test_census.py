@@ -7,13 +7,8 @@ import time
 import pytest
 
 import mecensus.census as census_module
-from mecensus.analysis import (
-    extrapolate_ratio,
-    gaussian_chi2,
-    median_edge_count,
-    median_edges_prediction,
-    ratio_asymptote,
-)
+from helpers import gaussian_chi2, median_edge_count, median_edges_prediction
+from mecensus.analysis import extrapolate_ratio, ratio_asymptote
 from mecensus.catalog import report_lines
 from mecensus.census import (
     SkeletonRecord,

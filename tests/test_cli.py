@@ -179,9 +179,9 @@ def test_package_has_no_assert_statement():
 
 
 def test_pipeline_modules_define_no_test_only_name():
-    # every public def and class of the pipeline and of analysis is referred to
-    # elsewhere in the package, by name or attribute; oracles and reference are
-    # the references and data that tests read
+    # every public def and class of every module but reference, the published
+    # data that tests read, is referred to elsewhere in the package, by name or
+    # attribute; what only the tests call lives in tests/helpers.py
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
              for p in Path(cli.__file__).parent.glob("*.py")}
 
@@ -190,19 +190,35 @@ def test_pipeline_modules_define_no_test_only_name():
                        if isinstance(n, (ast.Name, ast.Attribute)))
 
     used = sum(map(names, trees.values()), Counter())
-    exempt = {"cli.main",  # the console entry point
-              "graphs.encode",  # the checked edge-list constructor that tests build graphs with
-              # ROADMAP item 2 gives these verify callers
-              "analysis.median_edges_prediction", "analysis.median_edge_count",
-              "analysis.gaussian_chi2"}
     unused = [f"{module}.{node.name}"
-              for module in ("graphs", "orderly", "markov", "census", "catalog", "cli",
-                             "analysis")
-              for node in trees[module].body
+              for module, tree in sorted(trees.items()) if module != "reference"
+              for node in tree.body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and not node.name.startswith("_") and f"{module}.{node.name}" not in exempt
+              and not node.name.startswith("_") and f"{module}.{node.name}" != "cli.main"
               and used[node.name] == names(node)[node.name]]
     assert unused == []
+
+
+def test_references_import_only_the_graph_coding():
+    # the references share nothing with the pipeline beyond the bit coding:
+    # oracles imports only graphs, and the test helpers only graphs and oracles
+    def package_imports(path):
+        out = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                out |= {a.name.partition(".")[2] or a.name for a in node.names
+                        if a.name.partition(".")[0] == "mecensus"}
+            elif isinstance(node, ast.ImportFrom):
+                top, _, sub = (node.module or "").partition(".")
+                if node.level:
+                    sub = node.module or ""
+                elif top != "mecensus":
+                    continue
+                out |= {sub} if sub else {a.name for a in node.names}
+        return out
+
+    assert package_imports(Path(oracles.__file__)) <= {"graphs"}
+    assert package_imports(Path(__file__).with_name("helpers.py")) <= {"graphs", "oracles"}
 
 
 def test_cli_import_leaves_process_pool_out():

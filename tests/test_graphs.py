@@ -4,16 +4,15 @@ import random
 
 import pytest
 
+from helpers import apply_permutation, encode
 from mecensus.graphs import (
     Graph,
     adjacency_masks,
     complement,
-    encode,
     iter_pairs,
     pair_count,
     pair_index,
 )
-from mecensus.oracles import apply_permutation
 
 
 def test_pair_index_covers_all_pairs_once():

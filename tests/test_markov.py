@@ -5,13 +5,10 @@ from collections import Counter
 
 import pytest
 
-from mecensus.graphs import Graph, adjacency_masks, complement, encode
+from helpers import class_codes, encode, enumerate_acyclic_orientations
+from mecensus.graphs import Graph, adjacency_masks, complement
 from mecensus.markov import classify_skeleton, find_v_configurations
-from mecensus.oracles import (
-    acyclic_orientation_count,
-    class_codes,
-    enumerate_acyclic_orientations,
-)
+from mecensus.oracles import acyclic_orientation_count
 from mecensus.orderly import canonical_search, generate_all
 from mecensus.reference import KNOWN_MAX_VCONFIGS
 

@@ -4,15 +4,14 @@ from math import factorial
 
 import pytest
 
+from helpers import covered_reversal_classes, encode, enumerate_acyclic_orientations
 from mecensus.census import iter_skeletons, robinson_adgs_by_edges
-from mecensus.graphs import Graph, complement, encode, pair_count
+from mecensus.graphs import Graph, complement, pair_count
 from mecensus.markov import classify_skeleton, find_v_configurations
 from mecensus.oracles import (
     acyclic_orientation_count,
     brute_force_census,
     brute_force_unlabeled,
-    covered_reversal_classes,
-    enumerate_acyclic_orientations,
 )
 from mecensus.orderly import generate_all
 

@@ -3,15 +3,15 @@ from math import comb, factorial
 
 import pytest
 
+from helpers import brute_force_search, encode
 from mecensus import orderly
 from mecensus.graphs import (
     Graph,
     adjacency_masks,
     complement,
-    encode,
     pair_count,
 )
-from mecensus.oracles import brute_force_search, brute_force_unlabeled
+from mecensus.oracles import brute_force_unlabeled
 from mecensus.orderly import augment_children, canonical_search, generate_all
 
 

@@ -12,10 +12,10 @@ from math import factorial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import apply_permutation, brute_force_search
 from mecensus.census import census_skeletons, iter_skeletons, merge
 from mecensus.graphs import Graph, adjacency_masks, pair_count
 from mecensus.markov import classify_skeleton, find_v_configurations
-from mecensus.oracles import apply_permutation, brute_force_search
 from mecensus.orderly import canonical_search
 from test_markov import streamed_classes
 
