@@ -25,7 +25,7 @@ from .graphs import MAX_VERTICES, Graph, pair_count
 FORMAT_VERSION = 1
 
 
-class CatalogError(Exception):
+class CatalogError(ValueError):
     """A catalog file failed validation; message names the file."""
 
 

@@ -19,10 +19,6 @@ from .markov import classify_skeleton, find_v_configurations
 from .orderly import generate_all
 
 
-class CensusWorkerError(RuntimeError):
-    """A forked census child died before returning its slice."""
-
-
 class SkeletonRecord(namedtuple("SkeletonRecord", "graph labellings")):
     """A canonical skeleton with its labelled-copy multiplicity."""
 
@@ -164,8 +160,8 @@ def census(n: int, skeletons: Iterable[SkeletonRecord] | None = None,
     slice order once this process has done its own slice.  Slices share
     nothing, and merging is exact integer arithmetic, so neither the
     split nor the merge order shows.
-    Raises CensusWorkerError if a child exits non-zero or dies from a
-    signal; on any error every child is killed and reaped.
+    Raises ChildProcessError("census worker died: ...") if a child exits
+    non-zero or dies from a signal; on any error every child is killed and reaped.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -196,10 +192,9 @@ def census(n: int, skeletons: Iterable[SkeletonRecord] | None = None,
             _, status = os.waitpid(pid, 0)
             pids[k] = None
             code = os.waitstatus_to_exitcode(status)
-            if code < 0:
-                raise CensusWorkerError(f"worker {pid} was killed by signal {-code}")
             if code:
-                raise CensusWorkerError(f"worker {pid} exited with status {code}")
+                how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                raise ChildProcessError(f"census worker died: worker {pid} {how}")
             report = merge(report, pickle.loads(data))
         return report
     finally:

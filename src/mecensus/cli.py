@@ -16,7 +16,6 @@ from pathlib import Path
 
 from . import catalog
 from .census import (
-    CensusWorkerError,
     SkeletonRecord,
     census,
     census_rows,
@@ -118,17 +117,19 @@ def _verify_checks(n: int):
     Each check is one row (name, got, want), or (name, got, want, key) for
     tables, for _compare.  Each skeleton is classified once: census_rows folds
     skeleton_rows as they stream past, and tallied keeps each skeleton's
-    orientation total, sum(size * count), and v-configuration count by its
-    code.  The printed by-edge and by-size lines are parsed back into tables.
+    orientation total, sum(size * count), class count, sum(count), and
+    v-configuration count by its code.  The printed by-edge and by-size
+    lines are parsed back into tables.
     """
     from . import oracles, reference  # verify-only; generate and census start without them
     records = list(iter_skeletons(n))
-    orientations, vconfigs = {}, {}
+    orientations, vconfigs, classes = {}, {}, {}
 
     def tallied(rows):
         for rec, nv, sizes in rows:
             orientations[rec.graph.code] = sum(size * cnt for size, cnt in sizes.items())
             vconfigs[rec.graph.code] = nv
+            classes[rec.graph.code] = sum(sizes.values())
             yield rec, nv, sizes
 
     report = census_rows(n, tallied(skeleton_rows(records)))
@@ -141,7 +142,7 @@ def _verify_checks(n: int):
     for rec in records:
         labelled[rec.graph.edge_count] += rec.labellings
     by_degrees = {rec.graph.code: oracles.vconfig_count(rec.graph) for rec in records}
-    top = max(by_degrees.values())
+    top, most = max(by_degrees.values()), max(classes.values())
 
     rows = [
         ("adgs_by_edges_vs_recurrence", by_index["adgs_by_edges"],
@@ -163,6 +164,8 @@ def _verify_checks(n: int):
         ("vconfig_count_vs_degrees", vconfigs, by_degrees, "code"),
         ("max_vconfig_codes_vs_degrees", printed["max_vconfig_codes"],
          ",".join(f"{code:x}" for code, k in sorted(by_degrees.items()) if k == top)),
+        ("max_class_codes_vs_skeleton_rows", printed["max_class_codes"],
+         ",".join(f"{code:x}" for code, k in sorted(classes.items()) if k == most)),
     ]
     if n <= 6:
         rows.append(("canonical_codes_vs_brute_force", Counter(rec.graph.code for rec in records),
@@ -248,11 +251,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, catalog.CatalogError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # CatalogError and ChildProcessError among them
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CensusWorkerError as exc:
-        print(f"error: census worker died: {exc}", file=sys.stderr)
         return 2
 
 

@@ -116,10 +116,7 @@ def acyclic_orientation_count(g: Graph) -> int:
     The independent subsets of each U are listed from those of U minus
     its lowest vertex.
     """
-    nbrs = [0] * g.n
-    for i, j in g.edges():
-        nbrs[i - 1] |= 1 << (j - 1)
-        nbrs[j - 1] |= 1 << (i - 1)
+    nbrs = adjacency_masks(g)
     indep = [[0]]  # indep[u]: the independent subsets of u, the empty set first
     a = [1]
     for u in range(1, 1 << g.n):

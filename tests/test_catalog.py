@@ -54,7 +54,8 @@ def test_catalog_regeneration_is_byte_identical(tmp_path):
 def test_catalog_rejects_bad_header(tmp_path):
     p = tmp_path / "bad.cat"
     p.write_text("MECCAT 9 n=4 e=0 count=1\n0 1\n")
-    with pytest.raises(CatalogError, match="bad.cat"):
+    # a ValueError, so the command line reports it as bad input, exit 2
+    with pytest.raises(ValueError, match="bad.cat"):
         read_catalog(p)
 
 

@@ -2,6 +2,7 @@ import hashlib
 import math
 import os
 import pickle
+import signal
 import time
 
 import pytest
@@ -124,6 +125,25 @@ def test_census_kills_and_reaps_children_when_its_own_slice_raises(monkeypatch):
         census(5, jobs=3)
     with pytest.raises(ChildProcessError):  # no child left, running or unreaped
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("die, how", [
+    (lambda: os._exit(3), "exited with status 3"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), f"was killed by signal {signal.SIGKILL:d}"),
+], ids=["exit_status_3", "sigkill"])
+def test_census_raises_child_process_error_when_a_worker_dies(monkeypatch, die, how):
+    # the caller's slice runs as before; the one child dies before it reports
+    caller, real = os.getpid(), census_module.census_skeletons
+
+    def die_in_children(n, records):
+        if os.getpid() == caller:
+            return real(n, records)
+        die()
+
+    monkeypatch.setattr(census_module, "census_skeletons", die_in_children)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # one child on any host
+    with pytest.raises(ChildProcessError, match=rf"^census worker died: worker \d+ {how}$"):
+        census(5, jobs=2)
 
 
 def test_robinson_by_edges_small_values_and_totals():

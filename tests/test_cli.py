@@ -503,6 +503,13 @@ def _first_tied_code_only(monkeypatch):
     monkeypatch.setattr(census, "_maximum", first)
 
 
+def _class_maxima_at_code_0(monkeypatch):
+    # every skeleton reaching the class maximum is recorded as code 0
+    real = cli.census_rows
+    monkeypatch.setattr(cli, "census_rows",
+                        lambda n, rows: real(n, rows)._replace(max_class_codes=[0]))
+
+
 def _swap_fields(value):
     return ",".join(":".join(reversed(item.split(":"))) for item in value.split(","))
 
@@ -564,7 +571,10 @@ VERIFY_FAULTS = {
         "vconfig_count_vs_degrees": "first mismatch at code=786: expected 3, got 2"}),
     # both n=2 skeletons have no v-configuration, so both codes are maxima
     "max_codes_keep_the_first_tie_only": (_first_tied_code_only, 2, {
-        "max_vconfig_codes_vs_degrees": "expected 0,1, got 0"}),
+        "max_vconfig_codes_vs_degrees": "expected 0,1, got 0",
+        "max_class_codes_vs_skeleton_rows": "expected 0,1, got 0"}),
+    "class_maxima_recorded_at_code_0": (_class_maxima_at_code_0, 4, {
+        "max_class_codes_vs_skeleton_rows": "expected 33, got 0"}),
 }
 
 
