@@ -51,16 +51,6 @@ class Graph(namedtuple("Graph", "n code")):
     def edge_count(self) -> int:
         return self.code.bit_count()
 
-    def edges(self) -> list[tuple[int, int]]:
-        """Edge list in ascending bit-position order."""
-        out = []
-        c = self.code
-        while c:
-            low = c & -c
-            out.append(_PAIRS[low.bit_length() - 1])
-            c ^= low
-        return out
-
 
 def complement(g: Graph) -> Graph:
     return Graph(g.n, ((1 << pair_count(g.n)) - 1) ^ g.code)

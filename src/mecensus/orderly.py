@@ -1,12 +1,12 @@
 """Isomorph-free generation of undirected graphs, layered by edge count.
 
 A graph is canonical when its bit code is maximal over all relabellings.
-Layers grow by edge augmentation (Read's orderly method): each canonical
-parent spawns children by setting one bit inside its trailing run of zero
-bits, and a child survives iff it is itself canonical.  Clearing the
-lowest set bit of any child recovers its unique parent, so every
-canonical graph is produced exactly once.  Layers above half the possible
-edge count come from complementing the mirror layer and re-canonicalizing.
+Layers grow by edge augmentation (Read's orderly method): augment_children
+lists the zero bits in a canonical parent's trailing run of zero bits, and
+setting one gives a child, which survives iff it is itself canonical.
+Clearing the lowest set bit of any child recovers its unique parent, so
+every canonical graph is produced exactly once.  Layers above half the
+possible edge count complement the mirror layer and re-canonicalize it.
 
 Canonical codes and automorphism group orders come from one search,
 canonical_search, which fixes the code column by column.  Labels go out
@@ -41,17 +41,14 @@ from .graphs import (
 )
 
 
-def augment_children(g: Graph) -> list[Graph]:
-    """One child per zero bit in the trailing zero run, highest position first.
+def augment_children(g: Graph) -> range:
+    """Bit positions of the zero bits in g's trailing zero run, highest first.
 
-    Caller guarantees g is canonical; each child has one more edge and
-    clearing its lowest set bit gives back g.
+    Caller guarantees g is canonical; setting any one of them gives a child
+    with one more edge, and clearing that child's lowest set bit gives back g.
     """
-    if g.code == 0:
-        run = pair_count(g.n)
-    else:
-        run = (g.code & -g.code).bit_length() - 1
-    return [Graph(g.n, g.code | (1 << p)) for p in range(run - 1, -1, -1)]
+    run = (g.code & -g.code).bit_length() - 1 if g.code else pair_count(g.n)
+    return range(run - 1, -1, -1)
 
 
 def canonical_search(n: int, adj: list[int], target: int = -1) -> tuple[int, int]:
@@ -76,8 +73,7 @@ def canonical_search(n: int, adj: list[int], target: int = -1) -> tuple[int, int
         best = -1
         nxt: dict[tuple[int, ...], int] = {}
         for cells, mult in states.items():
-            top = cells[0]
-            rest = top
+            rest = cells[0]
             while rest:
                 low = rest & -rest
                 rest ^= low
@@ -85,7 +81,8 @@ def canonical_search(n: int, adj: list[int], target: int = -1) -> tuple[int, int
                 hi = k - 1  # highest label still free below k
                 col = 0
                 split = []
-                for cell in (top ^ low,) + cells[1:]:
+                for cell in cells:
+                    cell &= ~low  # only the top cell holds low
                     if not cell:
                         continue
                     nb = cell & av
@@ -122,8 +119,8 @@ def generate_all(n: int) -> Iterator[GenerationLayer]:
     when m is even, never goes through complementation); the rest mirror the
     lower half through complement + canonical_search.  Each kept graph is
     searched once, and its |Aut| travels with it until it becomes the
-    labelled-copy count n!/|Aut|.  A child's neighbour masks are its
-    parent's plus the one new edge.
+    labelled-copy count n!/|Aut|.  A child sets one of augment_children's
+    positions, so its neighbour masks are its parent's plus that edge.
     """
     if n < 1:
         raise ValueError("need at least one vertex")
@@ -135,13 +132,14 @@ def generate_all(n: int) -> Iterator[GenerationLayer]:
         kids = layers[e + 1] = {}
         parents, grown = grown, {}
         for p, pmasks in parents.items():
-            for c in augment_children(Graph(n, p)):
-                i, j = pairs[(c.code ^ p).bit_length() - 1]
+            for pos in augment_children(Graph(n, p)):
+                child = p | 1 << pos
+                i, j = pairs[pos]
                 masks = pmasks.copy()
                 masks[i - 1] |= 1 << (j - 1)
                 masks[j - 1] |= 1 << (i - 1)
-                code, aut = canonical_search(n, masks, c.code)
-                if code == c.code:
+                code, aut = canonical_search(n, masks, child)
+                if code == child:
                     kids[code] = aut
                     grown[code] = masks
     for e in range(m // 2 + 1, m + 1):

@@ -1,13 +1,13 @@
 """Graph builders, references and statistics that only the tests call.
 
 None of these takes part in a command: encode builds graphs from edge
-lists; brute_force_search and apply_permutation are references for the
-canonical search and for relabelling; enumerate_acyclic_orientations,
-class_codes and covered_reversal_classes list a skeleton's orientations
-and join them into classes without the kernel; and the median and
-Gaussian statistics read the shape of a finished report.  Like
-mecensus.oracles, they share nothing with the pipeline beyond the graph
-coding.
+lists and edges lists a graph's edges; brute_force_search and
+apply_permutation are references for the canonical search and for
+relabelling; enumerate_acyclic_orientations, class_codes and
+covered_reversal_classes list a skeleton's orientations and join them
+into classes without the kernel; and the median and Gaussian statistics
+read the shape of a finished report.  Like mecensus.oracles, they share
+nothing with the pipeline beyond the graph coding.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from mecensus.graphs import Graph, iter_pairs, pair_index
+from mecensus.graphs import MAX_VERTICES, Graph, iter_pairs, pair_index
 from mecensus.oracles import relabellings
 
 
@@ -29,6 +29,20 @@ def encode(edges: Iterable[tuple[int, int]], n: int) -> Graph:
             raise ValueError(f"pair ({i}, {j}) not in 1 <= i < j <= {n}")
         code |= 1 << pair_index(i, j)
     return Graph(n, code)
+
+
+_PAIRS = list(iter_pairs(MAX_VERTICES))  # indexed by bit position, the same for every n
+
+
+def edges(g: Graph) -> list[tuple[int, int]]:
+    """g's edge list in ascending bit-position order."""
+    out = []
+    c = g.code
+    while c:
+        low = c & -c
+        out.append(_PAIRS[low.bit_length() - 1])
+        c ^= low
+    return out
 
 
 def brute_force_search(g: Graph) -> tuple[int, int]:
@@ -64,7 +78,7 @@ def enumerate_acyclic_orientations(g: Graph) -> list[tuple[int, ...]]:
     low-to-high before high-to-low; a direction u->v is pruned as soon as
     v already reaches u through the edges directed so far.
     """
-    edges = g.edges()
+    pairs = edges(g)
     n = g.n
     reach = [1 << v for v in range(n)]
     parents = [0] * n
@@ -74,7 +88,7 @@ def enumerate_acyclic_orientations(g: Graph) -> list[tuple[int, ...]]:
         if k < 0:
             out.append(tuple(parents))
             return
-        i, j = edges[k]
+        i, j = pairs[k]
         for u, v in ((i - 1, j - 1), (j - 1, i - 1)):
             if reach[v] >> u & 1:
                 continue
@@ -91,7 +105,7 @@ def enumerate_acyclic_orientations(g: Graph) -> list[tuple[int, ...]]:
             for w, rw in undo:
                 reach[w] = rw
 
-    rec(len(edges) - 1)
+    rec(len(pairs) - 1)
     return out
 
 

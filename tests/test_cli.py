@@ -199,6 +199,23 @@ def test_pipeline_modules_define_no_test_only_name():
     assert unused == []
 
 
+def test_package_classes_define_no_uncalled_method():
+    # every public, undecorated method of a package class is called in the
+    # package as x.name(...); properties, read without a call, are out of scope
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+             for p in Path(cli.__file__).parent.glob("*.py")}
+    called = {node.func.attr for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+    classes = [(module, cls) for module, tree in sorted(trees.items())
+               for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)]
+    assert "Graph" in [cls.name for _, cls in classes]
+    uncalled = [f"{module}.{cls.name}.{node.name}" for module, cls in classes
+                for node in cls.body
+                if isinstance(node, ast.FunctionDef) and not node.decorator_list
+                and not node.name.startswith("_") and node.name not in called]
+    assert uncalled == []
+
+
 def test_references_import_only_the_graph_coding():
     # the references share nothing with the pipeline beyond the bit coding:
     # oracles imports only graphs, and the test helpers only graphs and oracles

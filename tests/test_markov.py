@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from helpers import class_codes, encode, enumerate_acyclic_orientations
+from helpers import class_codes, edges, encode, enumerate_acyclic_orientations
 from mecensus.graphs import Graph, adjacency_masks, complement
 from mecensus.markov import classify_skeleton, find_v_configurations
 from mecensus.oracles import acyclic_orientation_count
@@ -27,12 +27,12 @@ def complete_bipartite(a: int, b: int) -> Graph:
 
 def immorality_set(g: Graph, parents: tuple[int, ...]) -> frozenset:
     # independent route: pairs of parents that the edge list leaves unjoined
-    edges = set(g.edges())
+    joined = set(edges(g))
     out = set()
     for b in range(1, g.n + 1):
         ps = [u for u in range(1, g.n + 1) if parents[b - 1] >> (u - 1) & 1]
         for a, c in itertools.combinations(ps, 2):
-            if (a, c) not in edges:
+            if (a, c) not in joined:
                 out.add((a, b, c))
     return frozenset(out)
 
@@ -51,13 +51,13 @@ def test_v_configuration_order_and_bound():
         for layer in generate_all(n):
             for g in layer.graphs:
                 vcs = find_v_configurations(g)
-                edges = set(g.edges())
+                joined = set(edges(g))
                 assert len(vcs) <= n * (n - 1) * (n - 2) // 6
                 assert vcs == sorted(vcs, key=lambda t: (t[1], t[0], t[2]))
                 for a, b, c in vcs:
                     assert a < c
-                    assert tuple(sorted((a, b))) in edges and tuple(sorted((b, c))) in edges
-                    assert (a, c) not in edges
+                    assert tuple(sorted((a, b))) in joined and tuple(sorted((b, c))) in joined
+                    assert (a, c) not in joined
 
 
 def test_class_code_on_path():
@@ -191,7 +191,7 @@ def test_disconnected_graphs_match_streaming_reference():
 
 def components(g: Graph) -> list[Graph]:
     # each connected component of g, its vertices relabelled 1..k in order
-    edges = g.edges()
+    pairs = edges(g)
     left = set(range(1, g.n + 1))
     out = []
     while left:
@@ -199,13 +199,13 @@ def components(g: Graph) -> list[Graph]:
         grown = True
         while grown:
             grown = False
-            for i, j in edges:
+            for i, j in pairs:
                 if (i in part) != (j in part):
                     part |= {i, j}
                     grown = True
         left -= part
         label = {v: k for k, v in enumerate(sorted(part), 1)}
-        out.append(encode({(label[i], label[j]) for i, j in edges if i in part}, len(part)))
+        out.append(encode({(label[i], label[j]) for i, j in pairs if i in part}, len(part)))
     return out
 
 

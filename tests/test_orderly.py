@@ -16,16 +16,18 @@ from mecensus.orderly import augment_children, canonical_search, generate_all
 
 
 def test_augment_children_examples():
-    assert [c.code for c in augment_children(Graph(3, 0))] == [4, 2, 1]
-    assert [c.code for c in augment_children(Graph(3, 4))] == [6, 5]
-    assert augment_children(Graph(3, 7)) == []
+    # bit positions, highest first: the children of 0 are codes 4, 2, 1, of 4 codes 6, 5
+    assert list(augment_children(Graph(3, 0))) == [2, 1, 0]
+    assert list(augment_children(Graph(3, 4))) == [1, 0]
+    assert list(augment_children(Graph(3, 7))) == []
 
 
 def test_augment_children_parent_recovery():
     for n in (4, 5):
         for code in range(1 << pair_count(n)):
             g = Graph(n, code)
-            for child in augment_children(g):
+            for pos in augment_children(g):
+                child = Graph(n, g.code | 1 << pos)
                 assert child.edge_count == g.edge_count + 1
                 assert child.code & (child.code - 1) == g.code  # drop lowest set bit
 
@@ -106,11 +108,27 @@ def test_orderly_unique_parent_property():
     for n in (4, 5, 6):
         layers = list(generate_all(n))
         for e in range(pair_count(n) // 2):
-            child_multiset = Counter(
-                c.code for p in layers[e].graphs for c in augment_children(p)
-                if canonical_search(n, adjacency_masks(c), c.code)[0] == c.code)
+            children = [Graph(n, p.code | 1 << pos) for p in layers[e].graphs
+                        for pos in augment_children(p)]
+            child_multiset = Counter(c.code for c in children
+                                     if canonical_search(n, adjacency_masks(c), c.code)[0] == c.code)
             assert set(child_multiset) == {g.code for g in layers[e + 1].graphs}
             assert all(v == 1 for v in child_multiset.values())
+
+
+def test_targeted_searches_are_the_augmentation_candidates(monkeypatch):
+    # the benchmark's orderly.accept_ratio counts as tried the sum of
+    # len(augment_children(g)) over layers e < m // 2; generate_all runs one
+    # search with a target per candidate, and none other
+    real = orderly.canonical_search
+    for n, want in ((5, 62), (6, 228), (7, 1249)):
+        targets = []
+        monkeypatch.setattr(orderly, "canonical_search",
+                            lambda n, adj, target=-1: targets.append(target) or real(n, adj, target))
+        layers = list(generate_all(n))
+        tried = sum(len(augment_children(g)) for layer in layers[:pair_count(n) // 2]
+                    for g in layer.graphs)
+        assert sum(t >= 0 for t in targets) == tried == want
 
 
 def test_complementation_consistency():
